@@ -12,7 +12,7 @@ import repro.bench.BenchTables
   */
 object JobSession {
   def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", "64")

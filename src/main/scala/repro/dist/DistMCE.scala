@@ -1,47 +1,34 @@
 package repro.dist
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.LocalGraph
 import repro.mce._
 
+import scala.reflect.ClassTag
+
 /** Spark-distributed maximal clique enumeration.
   *
-  * The search tree is partitioned by its level-1 branches, exactly as the
-  * reproduction hint prescribes: one unit per *edge* of the ordered initial
-  * split for HBBMC/EBBMC, one per *vertex* for the VBBMC baselines. The
+  * The search tree is partitioned by its level-1 units, exactly as the
+  * reproduction hint prescribes: anchor groups of the ordered initial edge
+  * split for HBBMC/EBBMC, one *vertex* each for the VBBMC baselines. The
   * prepared state (reduced graph CSR + orderings + config) is broadcast;
-  * each task solves a contiguous range of branches with the same sequential
-  * kernels the local engine uses and returns per-partition statistics (and,
-  * optionally, the cliques themselves as a DataFrame for verification).
+  * each task solves its units with [[Engine.solveUnits]], the runner the
+  * local engine uses, and returns its statistics (and, optionally, the
+  * cliques themselves as a DataFrame for verification).
   */
 object DistMCE {
+
+  private val discard: CliqueSink = (_, _) => ()
 
   /** Count-only distributed run: returns merged statistics. */
   def run(spark: SparkSession, g: LocalGraph, cfg: MceConfig,
           parallelism: Int = 0): MceStats = {
-    import spark.implicits._
     val prep = Engine.prepare(g, cfg)
-    val par = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism * 4
-    val bc = spark.sparkContext.broadcast(prep)
-    val directStats = directCliqueStats(prep)
-    val units = spark.range(0, prep.units.toLong).as[Long]
-      .repartition(math.max(1, math.min(par, math.max(1, prep.units))))
-    val partStats = units
-      .mapPartitions { it =>
-        val p = bc.value
-        val counters = new Counters
-        val counting = new CountingSink
-        val translated = Engine.translatingSink(p, counting)
-        val ws = Engine.workspace(p)
-        it.foreach(u => Engine.solveUnit(p, u.toInt, ws, counters, translated))
-        Iterator.single((counting.count, counting.sumSize, counting.maxSize,
-          counters.calls, counters.etApplied, counters.plexBranches, counters.level1Branches))
-      }
+    val direct = Engine.emitDirect(prep, discard)
+    solvePartitions(spark, prep, parallelism)(Engine.solveUnits(_, _, discard))
       .collect()
-    val enumStats = partStats.foldLeft(MceStats.zero) { case (acc, t) =>
-      acc.merge(MceStats(t._1, t._2, t._3, t._4, t._5, t._6, t._7))
-    }
-    enumStats.merge(directStats)
+      .foldLeft(direct)(_ merge _)
   }
 
   /** Distributed run that also returns every maximal clique as a DataFrame
@@ -52,45 +39,32 @@ object DistMCE {
                  parallelism: Int = 0): (DataFrame, MceStats) = {
     import spark.implicits._
     val prep = Engine.prepare(g, cfg)
-    val par = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism * 4
-    val bc = spark.sparkContext.broadcast(prep)
-    val callsAcc = spark.sparkContext.longAccumulator("mce.calls")
-    val etAcc = spark.sparkContext.longAccumulator("mce.et")
-    val plexAcc = spark.sparkContext.longAccumulator("mce.plex")
-    val cliquesDs = spark.range(0, prep.units.toLong).as[Long]
-      .repartition(math.max(1, math.min(par, math.max(1, prep.units))))
-      .mapPartitions { it =>
-        val p = bc.value
-        val counters = new Counters
-        val collect = new CollectSink
-        val translated = Engine.translatingSink(p, collect)
-        val ws = Engine.workspace(p)
-        it.foreach(u => Engine.solveUnit(p, u.toInt, ws, counters, translated))
-        callsAcc.add(counters.calls)
-        etAcc.add(counters.etApplied)
-        plexAcc.add(counters.plexBranches)
-        collect.cliques.iterator.map(_.toSeq)
-      }
-    val direct = prep.directCliques.map(_.sorted.toSeq).toSeq
-    val all = cliquesDs.toDF("clique")
-      .unionAll(direct.toDF("clique"))
-      .cache()
-    val cnt = all.count()
-    val sizes = all.selectExpr("sum(size(clique)) as s", "max(size(clique)) as m").head()
-    val stats = MceStats(
-      cnt,
-      if (sizes.isNullAt(0)) 0L else sizes.getLong(0),
-      if (sizes.isNullAt(1)) 0 else sizes.getInt(1),
-      callsAcc.value, etAcc.value, plexAcc.value, prep.units.toLong
-    )
-    (all, stats)
+    val direct = new CollectSink
+    val directStats = Engine.emitDirect(prep, direct)
+    // One job solves every partition; the DataFrame and the statistics are
+    // both read from its cached result.
+    val parts = solvePartitions(spark, prep, parallelism) { (p, units) =>
+      val collect = new CollectSink
+      (Engine.solveUnits(p, units, collect), collect.cliques.toArray)
+    }.cache()
+    val stats = parts.map(_._1).collect().foldLeft(directStats)(_ merge _)
+    val cliques = parts.flatMap(_._2.iterator.map(_.toSeq)).toDF("clique")
+      .unionAll(direct.cliques.map(_.toSeq).toSeq.toDF("clique"))
+    (cliques, stats)
   }
 
-  private def directCliqueStats(prep: Prepared): MceStats = {
-    var cnt = 0L; var sum = 0L; var mx = 0
-    prep.directCliques.foreach { c =>
-      cnt += 1; sum += c.length; mx = math.max(mx, c.length)
-    }
-    MceStats(cnt, sum, mx, 0L, 0L, 0L, 0L)
+  /** Broadcast `prep`, spread its level-1 units over `parallelism` partitions
+    * (4 × the default parallelism when 0) and apply `solve` to each
+    * partition's units: one result per partition.
+    */
+  private def solvePartitions[R: ClassTag](spark: SparkSession, prep: Prepared, parallelism: Int)(
+      solve: (Prepared, Array[Int]) => R): RDD[R] = {
+    import spark.implicits._
+    val par = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism * 4
+    val bc = spark.sparkContext.broadcast(prep)
+    spark.range(0, prep.units.toLong).as[Long]
+      .repartition(math.max(1, math.min(par, prep.units)))
+      .rdd
+      .mapPartitions(it => Iterator.single(solve(bc.value, it.map(_.toInt).toArray)))
   }
 }

@@ -32,33 +32,17 @@ final class BranchGraph(
   @inline def off(i: Int): Int = i * words
 }
 
-/** Rank lookup for local candidate pairs. Dense int matrix for small
-  * branches, hash map for the rare large ones.
+/** Rank lookup for local candidate pairs: a row-major rank matrix
+  * (stride = nLoc); cells of non-adjacent pairs are never consulted, so they
+  * may hold garbage.
   */
-final class LocalRanks private (nLoc: Int, dense: Array[Int], sparse: scala.collection.mutable.LongMap[Int]) {
-  def rank(i: Int, j: Int): Int =
-    if (dense != null) dense(i * nLoc + j)
-    else sparse.getOrElse((i.toLong << 32) | (j.toLong & 0xffffffffL), -1)
-
-  def put(i: Int, j: Int, r: Int): Unit =
-    if (dense != null) { dense(i * nLoc + j) = r; dense(j * nLoc + i) = r }
-    else {
-      sparse((i.toLong << 32) | (j.toLong & 0xffffffffL)) = r
-      sparse((j.toLong << 32) | (i.toLong & 0xffffffffL)) = r
-    }
+final class LocalRanks private (nLoc: Int, dense: Array[Int]) {
+  def rank(i: Int, j: Int): Int = dense(i * nLoc + j)
 }
 
 object LocalRanks {
-  private val DenseLimit = 1500
-
-  def apply(nLoc: Int): LocalRanks =
-    if (nLoc <= DenseLimit) new LocalRanks(nLoc, Array.fill(nLoc * nLoc)(-1), null)
-    else new LocalRanks(nLoc, null, new scala.collection.mutable.LongMap[Int]())
-
-  /** Wrap an existing row-major rank matrix (stride = nLoc); cells of
-    * non-adjacent pairs are never consulted, so they may hold garbage.
-    */
-  def fromDense(nLoc: Int, dense: Array[Int]): LocalRanks = new LocalRanks(nLoc, dense, null)
+  /** Wrap an existing row-major rank matrix. */
+  def fromDense(nLoc: Int, dense: Array[Int]): LocalRanks = new LocalRanks(nLoc, dense)
 }
 
 /** Reusable per-thread scratch for branch construction: member/flag buffers
@@ -83,26 +67,17 @@ final class Workspace(n: Int) {
     val rl = nLoc * nLoc
     if (hRank.length < rl) hRank = new Array[Int](math.max(rl, hRank.length * 2))
   }
-  // early-termination scratch (see EarlyTermination.enumerate)
-  val etNbr1 = new Array[Int](n)
-  val etNbr2 = new Array[Int](n)
-  val etVisited = new Array[Boolean](n)
-  val etCompV = new Array[Int](n)
-  val etCompStart = new Array[Int](n + 1)
-  val etCompCyc = new Array[Boolean](n)
   // candidate-candidate pair records of the branch under construction
   var pairI = new Array[Int](256)
   var pairJ = new Array[Int](256)
-  var pairR = new Array[Int](256)
   var pairLen = 0
 
-  def addPair(i: Int, j: Int, r: Int): Unit = {
+  def addPair(i: Int, j: Int): Unit = {
     if (pairLen == pairI.length) {
       pairI = java.util.Arrays.copyOf(pairI, pairLen * 2)
       pairJ = java.util.Arrays.copyOf(pairJ, pairLen * 2)
-      pairR = java.util.Arrays.copyOf(pairR, pairLen * 2)
     }
-    pairI(pairLen) = i; pairJ(pairLen) = j; pairR(pairLen) = r
+    pairI(pairLen) = i; pairJ(pairLen) = j
     pairLen += 1
   }
 }
@@ -228,7 +203,7 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
         var word = h(rowA + k) & c(k)
         while (word != 0L) {
           val b = (k << 6) + java.lang.Long.numberOfTrailingZeros(word)
-          if (b > a && hRank(a * nLoc + b) <= r) ws.addPair(a, b, 0)
+          if (b > a && hRank(a * nLoc + b) <= r) ws.addPair(a, b)
           word &= word - 1
         }
         k += 1

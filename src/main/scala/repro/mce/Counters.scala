@@ -10,10 +10,6 @@ final class Counters extends Serializable {
   var etApplied: Long = 0L
   var plexBranches: Long = 0L
   var level1Branches: Long = 0L
-  // wall-clock split between branch construction and kernel recursion,
-  // for diagnostics only (not part of the paper's tables)
-  var buildNanos: Long = 0L
-  var solveNanos: Long = 0L
 
   def toStats(sink: CountingSink): MceStats =
     MceStats(sink.count, sink.sumSize, sink.maxSize, calls, etApplied, plexBranches, level1Branches)

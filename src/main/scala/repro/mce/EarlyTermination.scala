@@ -1,7 +1,5 @@
 package repro.mce
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Early termination (paper Section IV, Algorithms 5–8).
   *
   * Precondition (checked by the caller during its pivot/degree scan):
@@ -153,52 +151,5 @@ object EarlyTermination {
       }
     }
     emitFrom(0, len)
-  }
-
-  /** Algorithm 6 as a standalone list-producing function (exercised directly
-    * by the unit tests; `enumerate` uses the in-place variant above).
-    * Returns all maximal independent sets of the path p(0)—...—p(L-1).
-    */
-  def enumFromPath(p: Array[Int]): Array[Array[Int]] = {
-    val L = p.length
-    val out = new ArrayBuffer[Array[Int]]()
-    val sel = new ArrayBuffer[Int]()
-    def rec(i: Int): Unit = {
-      if (i + 2 > L - 1) { out += sel.toArray; return }
-      sel += p(i + 2); rec(i + 2); sel.remove(sel.length - 1)
-      if (i + 3 <= L - 1) { sel += p(i + 3); rec(i + 3); sel.remove(sel.length - 1) }
-    }
-    require(L >= 2, "paths have at least two vertices; singletons belong to F")
-    sel += p(0); rec(0); sel.clear()
-    sel += p(1); rec(1); sel.clear()
-    out.toArray
-  }
-
-  /** Algorithm 7 as a standalone list-producing function (tests only). */
-  def enumFromCycle(c: Array[Int]): Array[Array[Int]] = {
-    val L = c.length
-    require(L >= 3, "cycles have at least three vertices")
-    if (L == 3) return Array(Array(c(0)), Array(c(1)), Array(c(2)))
-    if (L == 4) return Array(Array(c(0), c(2)), Array(c(1), c(3)))
-    if (L == 5)
-      return Array(
-        Array(c(0), c(2)), Array(c(0), c(3)), Array(c(1), c(3)),
-        Array(c(1), c(4)), Array(c(2), c(4))
-      )
-    val out = new ArrayBuffer[Array[Int]]()
-    val sel = new ArrayBuffer[Int]()
-    def rec(p: Array[Int], i: Int): Unit = {
-      val lp = p.length
-      if (i + 2 > lp - 1) { out += sel.toArray; return }
-      sel += p(i + 2); rec(p, i + 2); sel.remove(sel.length - 1)
-      if (i + 3 <= lp - 1) { sel += p(i + 3); rec(p, i + 3); sel.remove(sel.length - 1) }
-    }
-    val p1 = java.util.Arrays.copyOfRange(c, 0, L - 1)
-    sel += p1(0); rec(p1, 0); sel.clear()
-    val p2 = java.util.Arrays.copyOfRange(c, 1, L)
-    sel += p2(0); rec(p2, 0); sel.clear()
-    val p3 = java.util.Arrays.copyOfRange(c, 2, L - 2)
-    sel += c(L - 1); sel += p3(0); rec(p3, 0); sel.clear()
-    out.toArray
   }
 }

@@ -84,10 +84,10 @@ final class Prepared(
   }
 }
 
-/** Sequential driver: preparation (GR + orderings) and per-branch solving.
-  * `repro.dist.DistMCE` reuses `prepare`/`solveUnit` with Spark-distributed
-  * units; `runLocal` executes all units in order on the calling thread
-  * (this is what the benches time, matching the paper's sequential C++).
+/** Preparation (GR + orderings) and the level-1 unit runner. `runLocal`
+  * solves all units in order on the calling thread (this is what the benches
+  * time, matching the paper's sequential C++); `repro.dist.DistMCE` runs the
+  * same [[Engine.solveUnits]] on Spark partitions of the units.
   */
 object Engine {
 
@@ -164,8 +164,8 @@ object Engine {
       anchorVerts, anchorOff, anchorEdges)
   }
 
-  /** Wrap a raw sink for use with [[solveUnit]]; create once per run or per
-    * Spark partition (it owns a reusable buffer).
+  /** Wrap a raw sink so that reduced ids are mapped back to original ids;
+    * create once per run or per Spark partition (it owns a reusable buffer).
     */
   def translatingSink(prep: Prepared, sink: CliqueSink): CliqueSink =
     new TranslateFilterSink(prep, sink)
@@ -173,36 +173,42 @@ object Engine {
   /** Allocate the reusable construction scratch; one per run / partition. */
   def workspace(prep: Prepared): Workspace = new Workspace(math.max(1, prep.reduced.n))
 
-  /** Solve level-1 branch `unit` (an edge id or a degeneracy position of the
-    * reduced graph). `translated` must come from [[translatingSink]] so
-    * reduced ids are mapped back to original ids.
+  /** Solve the level-1 `units` of `prep` in order on the calling thread,
+    * emitting their cliques (original ids) to `sink`. This is the one runner
+    * behind `runLocal` and every Spark partition of `repro.dist.DistMCE`;
+    * the returned statistics exclude the direct cliques (see [[emitDirect]]).
     */
-  def solveUnit(prep: Prepared, unit: Int, ws: Workspace, counters: Counters,
-                translated: CliqueSink): Unit = {
+  def solveUnits(prep: Prepared, units: Array[Int], sink: CliqueSink): MceStats = {
+    val counting = new CountingSink
+    val counters = new Counters
+    val translated = translatingSink(prep, new TeeSink(counting, sink))
+    val ws = workspace(prep)
+    var i = 0
+    while (i < units.length) {
+      solveUnit(prep, units(i), ws, counters, translated)
+      i += 1
+    }
+    counters.toStats(counting)
+  }
+
+  /** Solve level-1 branch `unit` (an anchor group of edges or a degeneracy
+    * position of the reduced graph).
+    */
+  private def solveUnit(prep: Prepared, unit: Int, ws: Workspace, counters: Counters,
+                        translated: CliqueSink): Unit = {
     prep.cfg.level1 match {
       case Level1.VertexDegeneracy =>
         counters.level1Branches += 1
-        val t0 = System.nanoTime()
-        val result = BranchGraph.forVertexBranch(prep.reduced, prep.degenPos, unit, ws)
-        val t1 = System.nanoTime()
-        counters.buildNanos += t1 - t0
-        dispatch(prep, result, counters, translated)
-        counters.solveNanos += System.nanoTime() - t1
+        dispatch(prep, BranchGraph.forVertexBranch(prep.reduced, prep.degenPos, unit, ws),
+          counters, translated)
       case _: Level1.EdgeOrdered =>
-        val t0 = System.nanoTime()
         val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit),
           prep.cfg.edgeDepth >= 2, ws)
-        counters.buildNanos += System.nanoTime() - t0
         var k = prep.anchorOff(unit)
         val end = prep.anchorOff(unit + 1)
         while (k < end) {
           counters.level1Branches += 1
-          val tb = System.nanoTime()
-          val result = ctx.branch(prep.anchorEdges(k))
-          val tm = System.nanoTime()
-          counters.buildNanos += tm - tb
-          dispatch(prep, result, counters, translated)
-          counters.solveNanos += System.nanoTime() - tm
+          dispatch(prep, ctx.branch(prep.anchorEdges(k)), counters, translated)
           k += 1
         }
     }
@@ -220,19 +226,8 @@ object Engine {
   /** Run the whole enumeration sequentially. */
   def runLocal(g: LocalGraph, cfg: MceConfig, sink: CliqueSink): MceStats = {
     val prep = prepare(g, cfg)
-    val counting = new CountingSink
-    val tee = new TeeSink(counting, sink)
-    val counters = new Counters
-    emitDirect(prep, tee)
-    val translated = translatingSink(prep, tee)
-    val ws = workspace(prep)
-    var unit = 0
-    val total = prep.units
-    while (unit < total) {
-      solveUnit(prep, unit, ws, counters, translated)
-      unit += 1
-    }
-    counters.toStats(counting)
+    val direct = emitDirect(prep, sink)
+    direct.merge(solveUnits(prep, Array.range(0, prep.units), sink))
   }
 
   /** Convenience: run and collect all cliques (original ids, sorted). */
@@ -242,13 +237,17 @@ object Engine {
     (RefBK.canon(collect.cliques), stats)
   }
 
-  def emitDirect(prep: Prepared, sink: CliqueSink): Unit = {
+  /** Emit the cliques that GR found directly and return their statistics. */
+  def emitDirect(prep: Prepared, sink: CliqueSink): MceStats = {
+    val counting = new CountingSink
     var i = 0
     while (i < prep.directCliques.length) {
       val c = prep.directCliques(i)
+      counting.emit(c, c.length)
       sink.emit(c, c.length)
       i += 1
     }
+    MceStats(counting.count, counting.sumSize, counting.maxSize, 0L, 0L, 0L, 0L)
   }
 }
 

@@ -95,10 +95,11 @@ object Kernels {
       }
     }
 
-    /** Early-termination dispatch: the 1-plex (clique) case is emitted
-      * inline — the complement machinery is reserved for real 2-/3-plexes.
+    /** Early-termination dispatch after a `scan`: the 1-plex (clique) case
+      * is emitted inline — the complement machinery is reserved for real
+      * 2-/3-plexes.
       */
-    private def etEmit(c: Array[Long], cSize: Int, minD: Int): Unit = {
+    private def etEmit(c: Array[Long], cSize: Int): Unit = {
       counters.etApplied += 1
       if (minD == cSize - 1) {
         val save = len
@@ -110,6 +111,49 @@ object Kernels {
 
     private def emit(): Unit = sink.emit(buf, len)
 
+    // Results of the last `scan`, read by the caller before it recurses: the
+    // minimum and maximum surviving degree inside C and a vertex attaining
+    // each, and whether no consumed pair lies inside C.
+    private var minD = 0
+    private var minV = -1
+    private var maxD = 0
+    private var maxV = -1
+    private var noDeleted = true
+
+    /** The degree scan that pivot selection needs anyway; the t-plex check
+      * of early termination rides on it. In a `clean` branch no consumed pair
+      * can lie inside C, so the dual full-row count is skipped.
+      */
+    private def scan(c: Array[Long], clean: Boolean): Unit = {
+      // Locals and a plain bit loop keep the hot scan free of closures; the
+      // fields are written once at the end.
+      var lo = Int.MaxValue; var loV = -1; var hi = -1; var hiV = -1; var noDel = true
+      var i = 0
+      while (i < c.length) {
+        var word = c(i)
+        while (word != 0L) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+          val ds = Bits.countAndRow(c, surv, v * W)
+          if (!clean && Bits.countAndRow(c, full, v * W) != ds) noDel = false
+          if (ds < lo) { lo = ds; loV = v }
+          if (ds > hi) { hi = ds; hiV = v }
+          word &= word - 1
+        }
+        i += 1
+      }
+      minD = lo; minV = loV; maxD = hi; maxV = hiV; noDeleted = noDel
+    }
+
+    /** After a `scan` of C (|C| = `cSize`): count a t-plex branch (the
+      * paper's b) and, when X is empty, solve it by early termination.
+      * Returns true when the branch is done.
+      */
+    private def plexDone(c: Array[Long], cSize: Int, x: Array[Long]): Boolean =
+      if (cfg.etT >= 1 && noDeleted && minD >= cSize - cfg.etT) {
+        counters.plexBranches += 1
+        if (Bits.isEmpty(x)) { etEmit(c, cSize); true } else false
+      } else false
+
     // ---------------------------------------------------------------- pivot
 
     private def pivotRec(c: Array[Long], x: Array[Long], refMode: Boolean, clean: Boolean): Unit = {
@@ -119,25 +163,13 @@ object Kernels {
         if (Bits.isEmpty(x)) emit()
         return
       }
-      var minD = Int.MaxValue
-      var pivot = -1
-      var pivotCnt = -1
+      scan(c, clean)
+      if (plexDone(c, cSize, x)) return
+      var pivot = maxV
+      var pivotCnt = maxD
       var pivotFromX = false
-      var noDeleted = true
-      Bits.foreachBit(c) { v =>
-        val ds = Bits.countAndRow(c, surv, v * W)
-        if (!clean && Bits.countAndRow(c, full, v * W) != ds) noDeleted = false
-        if (ds < minD) minD = ds
-        if (ds > pivotCnt) { pivotCnt = ds; pivot = v }
-      }
+      val childClean = clean || noDeleted
       val xEmpty = Bits.isEmpty(x)
-      if (cfg.etT >= 1 && noDeleted && minD >= cSize - cfg.etT) {
-        counters.plexBranches += 1
-        if (xEmpty) {
-          etEmit(c, cSize, minD)
-          return
-        }
-      }
       if (!xEmpty) {
         Bits.foreachBit(x) { xv =>
           val cnt = Bits.countAndRow(c, full, xv * W)
@@ -158,7 +190,6 @@ object Kernels {
       val xw = allocX(); Bits.copyInto(xw, x)
       val cN = allocC()
       val xN = allocX()
-      val childClean = clean || noDeleted
       Bits.foreachBit(branchSet) { v =>
         Bits.andIntoRow(cN, cw, surv, v * W)
         if (childClean) Bits.andIntoRow(xN, xw, full, v * W)
@@ -184,23 +215,9 @@ object Kernels {
       while (!done) {
         val cSize = Bits.count(cw)
         if (cSize == 0) return
-        var minD = Int.MaxValue
-        var minV = -1
-        var noDeleted = true
-        Bits.foreachBit(cw) { v =>
-          val ds = Bits.countAndRow(cw, surv, v * W)
-          if (!clean && Bits.countAndRow(cw, full, v * W) != ds) noDeleted = false
-          if (ds < minD) { minD = ds; minV = v }
-        }
+        scan(cw, clean)
         clean = clean || noDeleted
-        val xEmpty = Bits.isEmpty(xw)
-        if (cfg.etT >= 1 && noDeleted && minD >= cSize - cfg.etT) {
-          counters.plexBranches += 1
-          if (xEmpty) {
-            etEmit(cw, cSize, minD)
-            return
-          }
-        }
+        if (plexDone(cw, cSize, xw)) return
         if (minD == cSize - 1) {
           // cw is a clique (then necessarily no deleted pair): the single
           // candidate maximal clique is S ∪ C — emit unless an exclusion
@@ -217,14 +234,15 @@ object Kernels {
           }
           done = true
         } else {
-          val cN = Bits.andRow(cw, surv, minV * W)
+          val v = minV // the recursion below rescans
+          val cN = Bits.andRow(cw, surv, v * W)
           val xN = new Array[Long](W)
-          if (clean) Bits.andIntoRow(xN, xw, full, minV * W)
-          else Bits.mixXIntoRow(xN, xw, cw, full, surv, minV * W)
-          buf(len) = bg.globalIds(minV); len += 1
+          if (clean) Bits.andIntoRow(xN, xw, full, v * W)
+          else Bits.mixXIntoRow(xN, xw, cw, full, surv, v * W)
+          buf(len) = bg.globalIds(v); len += 1
           rcdRec(cN, xN, clean)
           len -= 1
-          Bits.clear(cw, minV); Bits.set(xw, minV)
+          Bits.clear(cw, v); Bits.set(xw, v)
         }
       }
     }
@@ -240,21 +258,9 @@ object Kernels {
       }
       var clean = clean0
       if (cfg.etT >= 1) {
-        var minD = Int.MaxValue
-        var noDeleted = true
-        Bits.foreachBit(c) { v =>
-          val ds = Bits.countAndRow(c, surv, v * W)
-          if (!clean && Bits.countAndRow(c, full, v * W) != ds) noDeleted = false
-          if (ds < minD) minD = ds
-        }
+        scan(c, clean)
         clean = clean || noDeleted
-        if (noDeleted && minD >= cSize - cfg.etT) {
-          counters.plexBranches += 1
-          if (Bits.isEmpty(x)) {
-            etEmit(c, cSize, minD)
-            return
-          }
-        }
+        if (plexDone(c, cSize, x)) return
       }
       val cw = Bits.copy(c)
       val xw = Bits.copy(x)

@@ -2,7 +2,7 @@ package repro.dist
 
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalGraph}
-import repro.mce.{Engine, MceConfig, RefBK}
+import repro.mce.{CollectSink, Engine, MceConfig, RefBK}
 
 /** The Spark-distributed enumeration must match the sequential engine (and
   * hence the plain-BK reference) exactly — counts, cliques, and statistics.
@@ -39,6 +39,20 @@ class DistMCESpec extends SparkSpec {
     assert(stats.cliques == statsCollect.cliques)
     assert(stats.maxSize == statsCollect.maxSize)
     assert(stats.sumSize == statsCollect.sumSize)
+  }
+
+  test("local, distributed and collect runs report equal statistics") {
+    val gnp = GraphGen.randomGnp(30, 0.3, 28)
+    // A path tail hung on vertex 0 and an isolated vertex: GR removes both.
+    val tail = (30 until 35).map(v => (v, if (v == 30) 0 else v - 1))
+    val reducible = LocalGraph.fromEdges(36, gnp.eu.indices.map(e => (gnp.eu(e), gnp.ev(e))) ++ tail)
+    for (g <- Seq(GraphGen.randomGnp(40, 0.25, 21), reducible);
+         cfg <- Seq(MceConfig.hbbmcPP, MceConfig.rDegen, MceConfig.ebbmc)) {
+      if (g eq reducible) assert(Engine.prepare(g, cfg).reduced.n < g.n)
+      val local = Engine.runLocal(g, cfg, new CollectSink)
+      assert(DistMCE.run(spark, g, cfg) == local, s"run, $cfg")
+      assert(DistMCE.runCollect(spark, g, cfg)._2 == local, s"runCollect, $cfg")
+    }
   }
 
   test("distributed equals sequential on a mid-size social graph") {

@@ -3,7 +3,7 @@ package repro.dist
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.graph.GraphGen
-import repro.mce.{Engine, MceConfig}
+import repro.mce.MceConfig
 
 /** DataFrame graph operations cross-checked against DuckDB via the Oracle:
   * a wrong Catalyst expression (or a broken normalization/degree/triangle

@@ -1,6 +1,7 @@
 package repro.mce
 
 import repro.{SparkSpec, TestGraphs}
+import repro.mce.EarlyTerminationSpec.etCliques
 import scala.util.Random
 
 /** Direct tests of Algorithm 5 (2-plex) / Algorithm 8 (3-plex): feed a whole
@@ -8,14 +9,6 @@ import scala.util.Random
   * C = V and X = ∅, and compare with the trusted plain-BK reference.
   */
 class EarlyTerminationSpec extends SparkSpec {
-
-  private def etCliques(g: repro.graph.LocalGraph): Vector[Vector[Int]] = {
-    val (bg, c) = TestGraphs.asBranch(g)
-    val sink = new CollectSink
-    val buf = new Array[Int](g.n + 4)
-    EarlyTermination.enumerate(bg, c, buf, 0, sink)
-    RefBK.canon(sink.cliques)
-  }
 
   test("clique (1-plex): single maximal clique") {
     val g = repro.graph.LocalGraph.complete(7)
@@ -90,5 +83,17 @@ class EarlyTerminationSpec extends SparkSpec {
     val buf = Array(41, 42, 0, 0)
     EarlyTermination.enumerate(bg, Bits.make(3), buf, 2, sink)
     assert(sink.cliques.map(_.toSeq) == Seq(Seq(41, 42)))
+  }
+}
+
+object EarlyTerminationSpec {
+
+  /** Maximal cliques of `g`, solved as one early-termination branch. */
+  def etCliques(g: repro.graph.LocalGraph): Vector[Vector[Int]] = {
+    val (bg, c) = TestGraphs.asBranch(g)
+    val sink = new CollectSink
+    val buf = new Array[Int](g.n + 4)
+    EarlyTermination.enumerate(bg, c, buf, 0, sink)
+    RefBK.canon(sink.cliques)
   }
 }
