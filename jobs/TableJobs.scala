@@ -55,23 +55,14 @@ object DistJob {
   }
 }
 
-/** Run one dataset with one named configuration through Spark, e.g.
-  * `MceRunJob OR hbbmcPP`.
+/** Run one dataset with one configuration, by its paper name
+  * (`MceConfig.named`), through Spark, e.g. `MceRunJob OR HBBMC++`.
   */
 object MceRunJob {
   def main(args: Array[String]): Unit = {
     val name = if (args.nonEmpty) args(0) else "FB"
-    val cfgName = if (args.length > 1) args(1) else "hbbmcPP"
-    val cfg = cfgName match {
-      case "hbbmcPP" => repro.mce.MceConfig.hbbmcPP
-      case "hbbmcP"  => repro.mce.MceConfig.hbbmcP
-      case "rDegen"  => repro.mce.MceConfig.rDegen
-      case "rRef"    => repro.mce.MceConfig.rRef
-      case "rRcd"    => repro.mce.MceConfig.rRcd
-      case "rFac"    => repro.mce.MceConfig.rFac
-      case "ebbmc"   => repro.mce.MceConfig.ebbmc
-      case other     => sys.error(s"unknown config $other")
-    }
+    val cfgName = if (args.length > 1) args(1) else "HBBMC++"
+    val cfg = repro.mce.MceConfig.byName(cfgName)
     val spark = JobSession.session(s"mce-$name-$cfgName")
     try {
       val g = BenchTables.dataset(name)

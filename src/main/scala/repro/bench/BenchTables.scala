@@ -42,18 +42,20 @@ object BenchTables {
 
   @volatile private var warmed = false
 
-  /** JIT warmup: run the main configurations once on a mid-size dataset. */
+  /** JIT warmup: run every configuration of the tables once on a mid-size
+    * dataset.
+    */
   def warmup(): Unit = synchronized {
     if (!warmed) {
       val g = dataset("FB")
-      Seq(MceConfig.hbbmcPP, MceConfig.hbbmcP, MceConfig.rRef, MceConfig.rDegen,
-          MceConfig.rRcd, MceConfig.rFac, MceConfig.refPP, MceConfig.rcdPP,
-          MceConfig.facPP, MceConfig.hbbmcDepth(2), MceConfig.hbbmcT(1),
-          MceConfig.vbbmcDgn, MceConfig.hbbmcDgn, MceConfig.hbbmcMdg)
+      Seq(table2Cfgs, table3Cfgs, table4Cfgs, table5Cfgs, table6Cfgs).flatten.map(_._2).distinct
         .foreach(cfg => timed(g, cfg))
       warmed = true
     }
   }
+
+  private def named(names: String*): Seq[(String, MceConfig)] =
+    names.map(n => n -> MceConfig.byName(n))
 
   private def resultsDir: java.io.File = {
     val d = new java.io.File("bench_results")
@@ -115,27 +117,15 @@ object BenchTables {
 
   // ------------------------------------------------------------ Table II
 
-  val table2Cfgs: Seq[(String, MceConfig)] = Seq(
-    "HBBMC++" -> MceConfig.hbbmcPP,
-    "RRef" -> MceConfig.rRef,
-    "RDegen" -> MceConfig.rDegen,
-    "RRcd" -> MceConfig.rRcd,
-    "RFac" -> MceConfig.rFac
-  )
+  val table2Cfgs: Seq[(String, MceConfig)] = named("HBBMC++", "RRef", "RDegen", "RRcd", "RFac")
 
   def table2(): String = genericTimeTable("Table II: comparison with baselines (ms)",
     "table2.tsv", table2Cfgs, PaperNumbers.table2)
 
   // ----------------------------------------------------------- Table III
 
-  val table3Cfgs: Seq[(String, MceConfig)] = Seq(
-    "HBBMC++" -> MceConfig.hbbmcPP,
-    "HBBMC+" -> MceConfig.hbbmcP,
-    "RDegen" -> MceConfig.rDegen,
-    "Ref++" -> MceConfig.refPP,
-    "Rcd++" -> MceConfig.rcdPP,
-    "Fac++" -> MceConfig.facPP
-  )
+  val table3Cfgs: Seq[(String, MceConfig)] =
+    named("HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++")
 
   def table3(): String = genericTimeTable(
     "Table III: ablation and hybrid inner variants (ms)",
@@ -165,12 +155,11 @@ object BenchTables {
 
   // ------------------------------------------------------------ Table IV
 
+  val table4Cfgs: Seq[(String, MceConfig)] = (1 to 3).map(d => s"d=$d" -> MceConfig.hbbmcDepth(d))
+
   def table4(): String = {
-    val cfgs = Seq("d=1" -> MceConfig.hbbmcDepth(1), "d=2" -> MceConfig.hbbmcDepth(2),
-      "d=3" -> MceConfig.hbbmcDepth(3))
-    val data = sweep(cfgs)
-    val header = Seq("Graph", "d=1 ms", "d=1 #Calls", "d=2 ms", "d=2 #Calls",
-      "d=3 ms", "d=3 #Calls")
+    val data = sweep(table4Cfgs)
+    val header = "Graph" +: table4Cfgs.flatMap { case (d, _) => Seq(s"$d ms", s"$d #Calls") }
     val rows = data.map { case (name, rs) =>
       name +: rs.flatMap(r => Seq(fmtMs(r.millis), fmtCalls(r.stats.calls)))
     }
@@ -181,15 +170,16 @@ object BenchTables {
 
   // ------------------------------------------------------------- Table V
 
+  val table5Cfgs: Seq[(String, MceConfig)] = (0 to 3).map(t => s"t=$t" -> MceConfig.hbbmcT(t))
+
   def table5(): String = {
-    val cfgs = (0 to 3).map(t => s"t=$t" -> MceConfig.hbbmcT(t))
-    val data = sweep(cfgs)
-    val header = "Graph" +: (0 to 3).flatMap(t =>
-      Seq(s"t=$t ms", s"t=$t #Calls") ++ (if (t > 0) Seq(s"t=$t Ratio") else Nil))
+    val data = sweep(table5Cfgs)
+    val header = "Graph" +: table5Cfgs.flatMap { case (t, cfg) =>
+      Seq(s"$t ms", s"$t #Calls") ++ (if (cfg.etT > 0) Seq(s"$t Ratio") else Nil) }
     val rows = data.map { case (name, rs) =>
-      name +: rs.zipWithIndex.flatMap { case (r, t) =>
+      name +: rs.zip(table5Cfgs).flatMap { case (r, (_, cfg)) =>
         val base = Seq(fmtMs(r.millis), fmtCalls(r.stats.calls))
-        if (t == 0) base
+        if (cfg.etT == 0) base
         else {
           val ratio =
             if (r.stats.plexBranches == 0) "n/a"
@@ -205,16 +195,11 @@ object BenchTables {
 
   // ------------------------------------------------------------ Table VI
 
-  def table6(): String = {
-    val cfgs = Seq(
-      "HBBMC++" -> MceConfig.hbbmcPP,
-      "VBBMC-dgn" -> MceConfig.vbbmcDgn,
-      "HBBMC-dgn" -> MceConfig.hbbmcDgn,
-      "HBBMC-mdg" -> MceConfig.hbbmcMdg
-    )
-    genericTimeTable("Table VI: effect of the level-1 ordering (ms)",
-      "table6.tsv", cfgs, PaperNumbers.table6)
-  }
+  val table6Cfgs: Seq[(String, MceConfig)] =
+    named("HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg")
+
+  def table6(): String = genericTimeTable("Table VI: effect of the level-1 ordering (ms)",
+    "table6.tsv", table6Cfgs, PaperNumbers.table6)
 
   // ------------------------------------------- extra: distributed scaling
 

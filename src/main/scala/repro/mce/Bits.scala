@@ -11,13 +11,9 @@ object Bits {
 
   def words(nBits: Int): Int = (nBits + 63) >>> 6
 
-  def make(nBits: Int): Array[Long] = new Array[Long](words(nBits))
-
   def set(a: Array[Long], i: Int): Unit = a(i >>> 6) |= (1L << (i & 63))
 
   def clear(a: Array[Long], i: Int): Unit = a(i >>> 6) &= ~(1L << (i & 63))
-
-  def get(a: Array[Long], i: Int): Boolean = (a(i >>> 6) & (1L << (i & 63))) != 0L
 
   def copy(a: Array[Long]): Array[Long] = java.util.Arrays.copyOf(a, a.length)
 
@@ -34,49 +30,6 @@ object Bits {
     var c = 0; var i = 0
     while (i < a.length) { c += java.lang.Long.bitCount(a(i)); i += 1 }
     c
-  }
-
-  def countAnd(a: Array[Long], b: Array[Long]): Int = {
-    var c = 0; var i = 0
-    while (i < a.length) { c += java.lang.Long.bitCount(a(i) & b(i)); i += 1 }
-    c
-  }
-
-  /** dest = a & b (dest may alias a or b). */
-  def andInto(dest: Array[Long], a: Array[Long], b: Array[Long]): Unit = {
-    var i = 0
-    while (i < dest.length) { dest(i) = a(i) & b(i); i += 1 }
-  }
-
-  def and(a: Array[Long], b: Array[Long]): Array[Long] = {
-    val d = new Array[Long](a.length); andInto(d, a, b); d
-  }
-
-  /** dest = a & ~b. */
-  def andNotInto(dest: Array[Long], a: Array[Long], b: Array[Long]): Unit = {
-    var i = 0
-    while (i < dest.length) { dest(i) = a(i) & ~b(i); i += 1 }
-  }
-
-  def andNot(a: Array[Long], b: Array[Long]): Array[Long] = {
-    val d = new Array[Long](a.length); andNotInto(d, a, b); d
-  }
-
-  def orInto(dest: Array[Long], a: Array[Long], b: Array[Long]): Unit = {
-    var i = 0
-    while (i < dest.length) { dest(i) = a(i) | b(i); i += 1 }
-  }
-
-  /** dest = (x & fullRow) | (c & fullRow & ~survRow) — the exclusion-set
-    * update of the dual-adjacency kernels in a single pass.
-    */
-  def mixXInto(dest: Array[Long], x: Array[Long], c: Array[Long],
-               fullRow: Array[Long], survRow: Array[Long]): Unit = {
-    var i = 0
-    while (i < dest.length) {
-      dest(i) = (x(i) & fullRow(i)) | (c(i) & fullRow(i) & ~survRow(i))
-      i += 1
-    }
   }
 
   /** First set bit, or -1. */
@@ -109,13 +62,6 @@ object Bits {
     var k = 0
     foreachBit(a) { b => out(k) = b; k += 1 }
     out
-  }
-
-  /** True iff a ⊆ b. */
-  def subsetOf(a: Array[Long], b: Array[Long]): Boolean = {
-    var i = 0
-    while (i < a.length) { if ((a(i) & ~b(i)) != 0L) return false; i += 1 }
-    true
   }
 
   // ---- row variants: the second operand lives at `off` inside a flat

@@ -16,9 +16,10 @@ import repro.graph.LocalGraph
   * positions only (X×X adjacency is never consulted), and no surviving
   * rows at all.
   *
-  * @param localRank rank of each local candidate pair for edge-branching
-  *                  below level 1 (Table IV, d ≥ 2); null when only vertex
-  *                  kernels run.
+  * @param localRank row-major rank matrix (stride `nLoc`) of the local
+  *                  candidate pairs, for edge-branching below level 1
+  *                  (Table IV, d ≥ 2); null when only vertex kernels run.
+  *                  Cells of non-adjacent pairs are never read.
   */
 final class BranchGraph(
     val nLoc: Int,
@@ -26,27 +27,11 @@ final class BranchGraph(
     val survFlat: Array[Long],
     val fullFlat: Array[Long],
     val globalIds: Array[Int],
-    val localRank: LocalRanks
-) {
-  def dual: Boolean = !(survFlat eq fullFlat)
-  @inline def off(i: Int): Int = i * words
-}
-
-/** Rank lookup for local candidate pairs: a row-major rank matrix
-  * (stride = nLoc); cells of non-adjacent pairs are never consulted, so they
-  * may hold garbage.
-  */
-final class LocalRanks private (nLoc: Int, dense: Array[Int]) {
-  def rank(i: Int, j: Int): Int = dense(i * nLoc + j)
-}
-
-object LocalRanks {
-  /** Wrap an existing row-major rank matrix. */
-  def fromDense(nLoc: Int, dense: Array[Int]): LocalRanks = new LocalRanks(nLoc, dense)
-}
+    val localRank: Array[Int]
+)
 
 /** Reusable per-thread scratch for branch construction: member/flag buffers
-  * plus a growable buffer of candidate-pair records.
+  * plus the shared anchor-neighborhood matrices.
   */
 final class Workspace(n: Int) {
   val idsBuf = new Array[Int](n)
@@ -61,25 +46,24 @@ final class Workspace(n: Int) {
   var hFlat = new Array[Long](1024)
   var hRank = new Array[Int](4096)
   def ensureAnchor(nLoc: Int, words: Int): Unit = {
+    val cells = nLoc.toLong * nLoc
+    require(cells <= Workspace.MaxAnchorCells,
+      s"an anchor of degree $nLoc needs a $cells-cell pair-rank matrix; at most " +
+        s"${Workspace.MaxAnchorCells} cells (degree ${Workspace.MaxAnchorDegree}) fit in one array")
     val fl = nLoc * words
     if (hFlat.length < fl) hFlat = new Array[Long](math.max(fl, hFlat.length * 2))
     java.util.Arrays.fill(hFlat, 0, fl, 0L)
-    val rl = nLoc * nLoc
+    val rl = cells.toInt
     if (hRank.length < rl) hRank = new Array[Int](math.max(rl, hRank.length * 2))
   }
-  // candidate-candidate pair records of the branch under construction
-  var pairI = new Array[Int](256)
-  var pairJ = new Array[Int](256)
-  var pairLen = 0
+}
 
-  def addPair(i: Int, j: Int): Unit = {
-    if (pairLen == pairI.length) {
-      pairI = java.util.Arrays.copyOf(pairI, pairLen * 2)
-      pairJ = java.util.Arrays.copyOf(pairJ, pairLen * 2)
-    }
-    pairI(pairLen) = i; pairJ(pairLen) = j
-    pairLen += 1
-  }
+object Workspace {
+  /** Largest anchor degree whose nLoc × nLoc pair-rank matrix fits in one
+    * JVM array; the pair keys of `Kernels.edgeRec` rely on it too.
+    */
+  val MaxAnchorDegree: Int = 46340
+  val MaxAnchorCells: Long = MaxAnchorDegree.toLong * MaxAnchorDegree
 }
 
 /** Outcome of building a level-1 branch. `Trivial` carries the clique to
@@ -128,7 +112,7 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
   ws.ensureAnchor(nLoc, words)
   private val h = ws.hFlat
   private val hRank = ws.hRank
-  private val localRanks = if (needRanks) LocalRanks.fromDense(nLoc, hRank) else null
+  private val localRanks = if (needRanks) hRank else null
   locally {
     val stamp = ws.nextStamp()
     var i = 0
@@ -193,43 +177,67 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
       i += 1
     }
     if (cCount == 0) return BranchResult.Trivial(null) // all excluded: dead
-    // Deleted candidate pairs (rank ≤ r): collect, then clone C rows into a
-    // surviving matrix only if any exist.
-    ws.pairLen = 0
-    Bits.foreachBit(c) { a =>
-      val rowA = a * words
-      var k = 0
-      while (k < cWords) {
-        var word = h(rowA + k) & c(k)
-        while (word != 0L) {
-          val b = (k << 6) + java.lang.Long.numberOfTrailingZeros(word)
-          if (b > a && hRank(a * nLoc + b) <= r) ws.addPair(a, b)
-          word &= word - 1
-        }
-        k += 1
-      }
-    }
-    val surv =
-      if (ws.pairLen == 0) h
-      else {
-        val s = new Array[Long](nLoc * words)
-        Bits.foreachBit(c) { a =>
-          System.arraycopy(h, a * words, s, a * words, words)
-        }
-        var k = 0
-        while (k < ws.pairLen) {
-          Bits.clear2d(s, ws.pairI(k) * words, ws.pairJ(k))
-          Bits.clear2d(s, ws.pairJ(k) * words, ws.pairI(k))
-          k += 1
-        }
-        s
-      }
+    val surv = BranchGraph.dropConsumed(h, nLoc, words, c, hRank, r)
     val bg = new BranchGraph(nLoc, words, surv, h, ids, localRanks)
     BranchResult.Branch(bg, c, x, Array(u, v))
   }
 }
 
 object BranchGraph {
+
+  /** The one consumed-pair rule of edge branching (DESIGN.md §4): once the
+    * branch of an edge of rank `r` is taken, no pair ranked at or below `r`
+    * may be used again. Returns `rows` itself when no pair inside `c` that
+    * is adjacent in `rows` has rank ≤ r (`ranks` is row-major, stride
+    * `nLoc`); otherwise a fresh matrix holding `c`'s rows of `rows` with
+    * exactly those pairs cleared (all other rows empty).
+    */
+  def dropConsumed(rows: Array[Long], nLoc: Int, words: Int, c: Array[Long],
+                   ranks: Array[Int], r: Int): Array[Long] = {
+    var out = rows
+    var i = 0
+    while (i < c.length) {
+      var word = c(i)
+      while (word != 0L) {
+        val a = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+        word &= word - 1
+        // partners b > a inside c: the rest of word i, then later words
+        var k = i
+        while (k < c.length) {
+          var pair = rows(a * words + k) & c(k)
+          if (k == i) pair &= -2L << (a & 63)
+          while (pair != 0L) {
+            val b = (k << 6) + java.lang.Long.numberOfTrailingZeros(pair)
+            pair &= pair - 1
+            if (ranks(a * nLoc + b) <= r) {
+              if (out eq rows) {
+                out = new Array[Long](nLoc * words)
+                copyRows(rows, out, words, c)
+              }
+              Bits.clear2d(out, a * words, b)
+              Bits.clear2d(out, b * words, a)
+            }
+          }
+          k += 1
+        }
+      }
+      i += 1
+    }
+    out
+  }
+
+  private def copyRows(from: Array[Long], to: Array[Long], words: Int, c: Array[Long]): Unit = {
+    var i = 0
+    while (i < c.length) {
+      var word = c(i)
+      while (word != 0L) {
+        val a = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+        System.arraycopy(from, a * words, to, a * words, words)
+        word &= word - 1
+      }
+      i += 1
+    }
+  }
 
   /** Test/utility constructor: wrap a whole graph as one branch with full
     * adjacency (C = caller's choice), single (non-dual) adjacency.

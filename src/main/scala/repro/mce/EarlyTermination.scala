@@ -29,6 +29,10 @@ object EarlyTermination {
     val cArr = Bits.toArray(c)
     val nC = cArr.length
     if (nC == 0) { sink.emit(buf, prefixLen); return }
+    // The level-1 rows suffice even inside a hand-off subtree, whose
+    // kernels run on rows with deeper consumed pairs dropped: under the
+    // precondition no consumed pair lies inside C, so both equal the full
+    // rows there.
     val surv = bg.survFlat
     val W = bg.words
     // Complement adjacency (≤ 2 per vertex for a 3-plex), positions into cArr.

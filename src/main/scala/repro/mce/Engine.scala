@@ -57,6 +57,16 @@ object MceConfig {
   /** Pure EBBMC: edge-oriented branching all the way down, with ET. */
   val ebbmc: MceConfig = hbbmcPP.copy(edgeDepth = Int.MaxValue)
   val ebbmcNoEt: MceConfig = ebbmc.copy(etT = 0)
+
+  /** The presets under the names the paper's tables use. */
+  val named: Seq[(String, MceConfig)] = Seq(
+    "HBBMC++" -> hbbmcPP, "HBBMC+" -> hbbmcP, "RRef" -> rRef, "RDegen" -> rDegen,
+    "RRcd" -> rRcd, "RFac" -> rFac, "Ref++" -> refPP, "Rcd++" -> rcdPP, "Fac++" -> facPP,
+    "VBBMC-dgn" -> vbbmcDgn, "HBBMC-dgn" -> hbbmcDgn, "HBBMC-mdg" -> hbbmcMdg, "EBBMC" -> ebbmc)
+
+  def byName(name: String): MceConfig =
+    named.find(_._1 == name).map(_._2).getOrElse(throw new IllegalArgumentException(
+      s"unknown config $name; known: ${named.map(_._1).mkString(", ")}"))
 }
 
 /** Precomputed, broadcast-able state of one enumeration: the (possibly

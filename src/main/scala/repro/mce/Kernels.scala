@@ -57,11 +57,23 @@ object Kernels {
     solver.dispatch(c, x, Int.MinValue, level)
   }
 
+  /** Sort key of the candidate pair (i, j) of rank `rank` in an anchor of
+    * `nLoc` vertices: keys ascend by rank, then by (i, j). The cell
+    * `i * nLoc + j` fits in 31 bits because the anchor's pair-rank matrix
+    * exists (`Workspace.MaxAnchorDegree`).
+    */
+  private[mce] def pairKey(rank: Int, i: Int, j: Int, nLoc: Int): Long =
+    (rank.toLong << 32) | (i * nLoc + j)
+  private[mce] def keyRank(key: Long): Int = (key >>> 32).toInt
+  /** The cell `i * nLoc + j` of a [[pairKey]]. */
+  private[mce] def keyCell(key: Long): Int = key.toInt
+
   private final class Solver(bg: BranchGraph, cfg: KernelConfig, counters: Counters, sink: CliqueSink) {
     val buf = new Array[Int](bg.nLoc + 8)
     var len = 0
-    private val dual = bg.dual
-    private val surv = bg.survFlat
+    // The surviving rows in force: the level-1 rows, or while a hand-off
+    // subtree runs, those rows with the deeper consumed pairs dropped.
+    private var surv = bg.survFlat
     private val full = bg.fullFlat
     private val W = bg.words
 
@@ -85,7 +97,7 @@ object Kernels {
     }
 
     def dispatch(c: Array[Long], x: Array[Long], r: Int, level: Int): Unit = {
-      val clean = !dual
+      val clean = surv eq full
       if (level <= cfg.edgeDepth && bg.localRank != null) edgeRec(c, x, r, level)
       else cfg.variant match {
         case Pivot => pivotRec(c, x, refMode = false, clean)
@@ -285,39 +297,17 @@ object Kernels {
       }
     }
 
-    /** Hand a branch from the edge phase to the vertex phase. The branch
-      * graph's surviving bitsets are thresholded at the LEVEL-1 rank; pairs
-      * consumed at deeper edge levels (rank in (r0, re]) must not be usable
-      * by the vertex kernels, or their cliques would be enumerated twice.
-      * When such stale pairs exist inside C, run the subtree on a derived
-      * graph whose surviving rows are re-thresholded at `re`.
+    /** Hand a branch from the edge phase to the vertex phase. The surviving
+      * rows are thresholded at the LEVEL-1 rank; pairs consumed at deeper
+      * edge levels (rank in (r0, re]) must not be usable by the vertex
+      * kernels, or their cliques would be enumerated twice. So the subtree
+      * runs on the rows with every pair of rank ≤ `re` inside C dropped.
       */
     private def handoffToVertex(cN: Array[Long], xN: Array[Long], re: Int, level: Int): Unit = {
-      val ranks = bg.localRank
-      var anyStale = false
-      Bits.foreachBit(cN) { a =>
-        if (!anyStale) {
-          Bits.foreachBit(Bits.andRow(cN, surv, a * W)) { b =>
-            if (b > a && ranks.rank(a, b) <= re) anyStale = true
-          }
-        }
-      }
-      if (!anyStale) { dispatch(cN, xN, re, level); return }
-      val surv2 = new Array[Long](bg.nLoc * W)
-      Bits.foreachBit(cN) { a => System.arraycopy(surv, a * W, surv2, a * W, W) }
-      Bits.foreachBit(cN) { a =>
-        Bits.foreachBit(Bits.andRow(cN, surv2, a * W)) { b =>
-          if (b > a && ranks.rank(a, b) <= re) {
-            Bits.clear2d(surv2, a * W, b); Bits.clear2d(surv2, b * W, a)
-          }
-        }
-      }
-      val bg2 = new BranchGraph(bg.nLoc, W, surv2, full, bg.globalIds, bg.localRank)
-      val solver2 = new Solver(bg2, cfg, counters, sink)
-      solver2.setPoolLengths(cN, xN)
-      System.arraycopy(buf, 0, solver2.buf, 0, len)
-      solver2.len = len
-      solver2.dispatch(cN, xN, re, level)
+      val saved = surv
+      surv = BranchGraph.dropConsumed(saved, bg.nLoc, W, cN, bg.localRank, re)
+      dispatch(cN, xN, re, level)
+      surv = saved
     }
 
     // ----------------------------------------------------- edge recursion
@@ -335,66 +325,57 @@ object Kernels {
         return
       }
       // Collect surviving edges (rank > r) among C and per-vertex surviving
-      // degrees; pack (rank, i, j) into longs for an allocation-light sort.
+      // degrees, as sort keys for an allocation-light sort.
       val ranks = bg.localRank
-      val packed = new ArrayBuffer[Long]()
-      val survDeg = new Array[Int](bg.nLoc)
+      val nLoc = bg.nLoc
+      val keys = new ArrayBuffer[Long]()
+      val survDeg = new Array[Int](nLoc)
       var a = 0
       while (a < cArr.length) {
         val i = cArr(a)
         Bits.foreachBit(Bits.andRow(c, surv, i * W)) { j =>
           if (j > i) {
-            val rr = ranks.rank(i, j)
+            val rr = ranks(i * nLoc + j)
             if (rr > r) {
-              packed += ((rr.toLong << 40) | (i.toLong << 20) | j.toLong)
+              keys += pairKey(rr, i, j, nLoc)
               survDeg(i) += 1; survDeg(j) += 1
             }
           }
         }
         a += 1
       }
-      // Early termination for the edge phase: requires every full edge in C
-      // to also be a *currently* surviving edge.
-      if (cfg.etT >= 1 && Bits.isEmpty(x)) {
-        var minD = Int.MaxValue
-        var noDeleted = true
+      // The t-plex exit of the vertex kernels, on the degrees above r: no
+      // consumed pair may lie inside C, i.e. every full edge in C survives.
+      if (cfg.etT >= 1) {
+        var lo = Int.MaxValue
+        var noDel = true
         var k = 0
         while (k < cArr.length) {
           val v = cArr(k)
           val ds = survDeg(v)
-          if (Bits.countAndRow(c, full, v * W) != ds) noDeleted = false
-          if (ds < minD) minD = ds
+          if (noDel && Bits.countAndRow(c, full, v * W) != ds) noDel = false
+          if (ds < lo) lo = ds
           k += 1
         }
-        if (noDeleted && minD >= cArr.length - cfg.etT) {
-          counters.plexBranches += 1
-          counters.etApplied += 1
-          if (minD == cArr.length - 1) {
-            val save = len
-            var k2 = 0
-            while (k2 < cArr.length) { buf(len) = bg.globalIds(cArr(k2)); len += 1; k2 += 1 }
-            emit()
-            len = save
-          } else EarlyTermination.enumerate(bg, c, buf, len, sink)
-          return
-        }
+        minD = lo; noDeleted = noDel
+        if (plexDone(c, cArr.length, x)) return
       }
-      val edges = packed.toArray
+      val edges = keys.toArray
       java.util.Arrays.sort(edges)
       val cx = new Array[Long](x.length)
       Bits.orIntoMixed(cx, x, c)
       var ei = 0
       while (ei < edges.length) {
-        val packedE = edges(ei)
-        val re = (packedE >>> 40).toInt
-        val i = ((packedE >>> 20) & 0xfffff).toInt
-        val j = (packedE & 0xfffff).toInt
+        val re = keyRank(edges(ei))
+        val cell = keyCell(edges(ei))
+        val i = cell / nLoc
+        val j = cell % nLoc
         // A' = (C ∪ X) ∩ N_full(i) ∩ N_full(j); C' ⊆ C requires both cross
         // edges surviving beyond rank(e).
         val aNew = Bits.andRow(Bits.andRow(cx, full, i * W), full, j * W)
         val cNew = new Array[Long](c.length)
         Bits.foreachBit(Bits.andRow(Bits.andRow(c, surv, i * W), surv, j * W)) { w =>
-          if (ranks.rank(i, w) > re && ranks.rank(j, w) > re) Bits.set(cNew, w)
+          if (ranks(i * nLoc + w) > re && ranks(j * nLoc + w) > re) Bits.set(cNew, w)
         }
         val xNew = Bits.andNotMixed(aNew, cNew)
         buf(len) = bg.globalIds(i); buf(len + 1) = bg.globalIds(j); len += 2

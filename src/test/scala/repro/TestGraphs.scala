@@ -59,7 +59,7 @@ object TestGraphs {
     */
   def asBranch(g: LocalGraph): (BranchGraph, Array[Long]) = {
     val bg = BranchGraph.ofWholeGraph(g)
-    val c = Bits.make(math.max(1, g.n))
+    val c = new Array[Long](Bits.words(math.max(1, g.n)))
     (0 until g.n).foreach(Bits.set(c, _))
     (bg, c)
   }

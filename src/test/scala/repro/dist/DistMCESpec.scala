@@ -93,7 +93,7 @@ class DistMCESpec extends SparkSpec {
   }
 
   test("edge DataFrame ingestion end-to-end (SynthData.paperGraph)") {
-    val edges = repro.SynthData.baGraph(spark, 200, 3, seed = 9)
+    val edges = GraphOps.toEdgesDf(spark, GraphGen.ba(200, 3, 9))
     val g = GraphOps.toLocalGraph(GraphOps.normalize(edges), 200)
     val stats = DistMCE.run(spark, g, MceConfig.hbbmcPP)
     val (_, localStats) = Engine.collectLocal(g, MceConfig.hbbmcPP)

@@ -5,32 +5,47 @@ import scala.util.Random
 
 class BitsSpec extends SparkSpec {
 
+  private def make(nBits: Int): Array[Long] = new Array[Long](Bits.words(nBits))
+  private def has(a: Array[Long], i: Int): Boolean = Bits.getRow(a, 0, i)
+
+  /** A bitset of `nBits` bits holding `s`. */
+  private def bits(nBits: Int, s: Set[Int]): Array[Long] = {
+    val a = make(nBits); s.foreach(Bits.set(a, _)); a
+  }
+
+  /** A flat matrix of `rows` rows of `words` words, with `s` set in row `row`. */
+  private def flatWithRow(rows: Int, words: Int, row: Int, s: Set[Int]): Array[Long] = {
+    val flat = new Array[Long](rows * words)
+    s.foreach(Bits.setRow(flat, row * words, _))
+    flat
+  }
+
   test("set/get/clear") {
-    val a = Bits.make(130)
-    assert(!Bits.get(a, 0) && !Bits.get(a, 129))
+    val a = make(130)
+    assert(!has(a, 0) && !has(a, 129))
     Bits.set(a, 0); Bits.set(a, 63); Bits.set(a, 64); Bits.set(a, 129)
-    assert(Bits.get(a, 0) && Bits.get(a, 63) && Bits.get(a, 64) && Bits.get(a, 129))
+    assert(has(a, 0) && has(a, 63) && has(a, 64) && has(a, 129))
     Bits.clear(a, 64)
-    assert(!Bits.get(a, 64))
+    assert(!has(a, 64))
     assert(Bits.count(a) == 3)
   }
 
   test("empty and count") {
-    val a = Bits.make(100)
+    val a = make(100)
     assert(Bits.isEmpty(a) && Bits.count(a) == 0)
     Bits.set(a, 99)
     assert(!Bits.isEmpty(a) && Bits.count(a) == 1)
   }
 
   test("first bit") {
-    val a = Bits.make(200)
+    val a = make(200)
     assert(Bits.first(a) == -1)
     Bits.set(a, 150); Bits.set(a, 77)
     assert(Bits.first(a) == 77)
   }
 
   test("foreachBit iterates ascending") {
-    val a = Bits.make(300)
+    val a = make(300)
     val want = Seq(3, 64, 65, 128, 299)
     want.foreach(Bits.set(a, _))
     val got = scala.collection.mutable.ArrayBuffer[Int]()
@@ -43,36 +58,45 @@ class BitsSpec extends SparkSpec {
     test(s"boolean algebra against reference sets, seed=$seed") {
       val rng = new Random(seed)
       val n = 1 + rng.nextInt(250)
+      val w = Bits.words(n)
       val sa = (0 until n).filter(_ => rng.nextBoolean()).toSet
       val sb = (0 until n).filter(_ => rng.nextBoolean()).toSet
-      val a = Bits.make(n); sa.foreach(Bits.set(a, _))
-      val b = Bits.make(n); sb.foreach(Bits.set(b, _))
-      assert(Bits.toArray(Bits.and(a, b)).toSet == sa.intersect(sb))
-      assert(Bits.toArray(Bits.andNot(a, b)).toSet == sa.diff(sb))
-      assert(Bits.countAnd(a, b) == sa.intersect(sb).size)
-      val or = Bits.make(n); Bits.orInto(or, a, b)
-      assert(Bits.toArray(or).toSet == sa.union(sb))
-      assert(Bits.subsetOf(a, or) && Bits.subsetOf(b, or))
-      assert(Bits.subsetOf(a, b) == sa.subsetOf(sb))
+      val a = bits(n, sa)
+      // b as row 2 of a 3-row matrix, the layout the kernels read
+      val flat = flatWithRow(3, w, 2, sb)
+      assert(Bits.toArray(Bits.andRow(a, flat, 2 * w)).toSet == sa.intersect(sb))
+      assert(Bits.toArray(Bits.andNotRow(a, flat, 2 * w)).toSet == sa.diff(sb))
+      assert(Bits.countAndRow(a, flat, 2 * w) == sa.intersect(sb).size)
+      // the mixed variants take a shorter second operand (missing words = 0)
+      val m = 1 + rng.nextInt(n)
+      val sc = sb.filter(_ < m)
+      val c = bits(m, sc)
+      val or = make(n); Bits.orIntoMixed(or, a, c)
+      assert(Bits.toArray(or).toSet == sa.union(sc))
+      assert(Bits.toArray(Bits.andNotMixed(a, c)).toSet == sa.diff(sc))
+      assert(Bits.andNotMixed(a, c).length == a.length)
     }
 
   test("mixXInto computes (x∩full) ∪ (c∩full∖surv)") {
     val rng = new Random(42)
     val n = 180
-    def randomSet() = (0 until n).filter(_ => rng.nextBoolean()).toSet
-    val sx = randomSet(); val sc = randomSet()
-    val sfull = randomSet(); val ssurv = randomSet().intersect(sfull)
-    def bits(s: Set[Int]) = { val a = Bits.make(n); s.foreach(Bits.set(a, _)); a }
-    val dest = Bits.make(n)
-    Bits.mixXInto(dest, bits(sx), bits(sc), bits(sfull), bits(ssurv))
+    val w = Bits.words(n)
+    def randomSet(bound: Int) = (0 until bound).filter(_ => rng.nextBoolean()).toSet
+    // candidates occupy a prefix, so c spans fewer words than x
+    val sx = randomSet(n); val sc = randomSet(100)
+    val sfull = randomSet(n); val ssurv = randomSet(n).intersect(sfull)
+    val fullFlat = flatWithRow(2, w, 1, sfull)
+    val survFlat = flatWithRow(2, w, 1, ssurv)
+    val dest = make(n)
+    Bits.mixXIntoRow(dest, bits(n, sx), bits(100, sc), fullFlat, survFlat, w)
     val expect = sx.intersect(sfull).union(sc.intersect(sfull).diff(ssurv))
     assert(Bits.toArray(dest).toSet == expect)
   }
 
   test("copy is independent") {
-    val a = Bits.make(70); Bits.set(a, 5)
+    val a = make(70); Bits.set(a, 5)
     val b = Bits.copy(a)
     Bits.set(b, 6)
-    assert(!Bits.get(a, 6) && Bits.get(b, 5))
+    assert(!has(a, 6) && has(b, 5))
   }
 }

@@ -81,7 +81,7 @@ class EarlyTerminationSpec extends SparkSpec {
     val (bg, _) = TestGraphs.asBranch(g)
     val sink = new CollectSink
     val buf = Array(41, 42, 0, 0)
-    EarlyTermination.enumerate(bg, Bits.make(3), buf, 2, sink)
+    EarlyTermination.enumerate(bg, new Array[Long](Bits.words(3)), buf, 2, sink)
     assert(sink.cliques.map(_.toSeq) == Seq(Seq(41, 42)))
   }
 }

@@ -1,0 +1,127 @@
+package repro.mce
+
+import repro.SparkSpec
+import repro.graph.GraphGen
+import scala.util.Random
+
+/** The consumed-pair rule of edge branching (DESIGN.md §4) and the search
+  * tree of the configurations that branch on edges below level 1.
+  */
+class EdgeBranchingSpec extends SparkSpec {
+
+  /** A random symmetric adjacency matrix (rows of `words` longs) and a
+    * random symmetric rank matrix of `nLoc` vertices.
+    */
+  private def randomAnchor(rng: Random, nLoc: Int, words: Int): (Array[Long], Array[Int]) = {
+    val rows = new Array[Long](nLoc * words)
+    val ranks = Array.fill(nLoc * nLoc)(-7) // garbage in non-adjacent cells
+    for (a <- 0 until nLoc; b <- a + 1 until nLoc if rng.nextDouble() < 0.5) {
+      Bits.setRow(rows, a * words, b); Bits.setRow(rows, b * words, a)
+      val r = rng.nextInt(100)
+      ranks(a * nLoc + b) = r; ranks(b * nLoc + a) = r
+    }
+    (rows, ranks)
+  }
+
+  /** Reference: drop every pair inside `c` adjacent in `rows` with rank ≤ r. */
+  private def bruteDrop(rows: Array[Long], nLoc: Int, words: Int, c: Set[Int],
+                        ranks: Array[Int], r: Int): Option[Array[Long]] = {
+    val consumed = for {
+      a <- c.toSeq; b <- c.toSeq
+      if a != b && Bits.getRow(rows, a * words, b) && ranks(a * nLoc + b) <= r
+    } yield (a, b)
+    if (consumed.isEmpty) None
+    else {
+      val out = new Array[Long](nLoc * words)
+      c.foreach(a => System.arraycopy(rows, a * words, out, a * words, words))
+      consumed.foreach { case (a, b) => Bits.clear2d(out, a * words, b) }
+      Some(out)
+    }
+  }
+
+  for (seed <- 0 until 12)
+    test(s"dropConsumed matches a brute-force reference, seed=$seed") {
+      val rng = new Random(seed)
+      val nLoc = 1 + rng.nextInt(150)
+      val words = Bits.words(nLoc)
+      val (rows, ranks) = randomAnchor(rng, nLoc, words)
+      // candidates live in a prefix, so c may span fewer words than a row
+      val prefix = 1 + rng.nextInt(nLoc)
+      val cSet = (0 until prefix).filter(_ => rng.nextDouble() < 0.6).toSet
+      val c = new Array[Long](Bits.words(prefix))
+      cSet.foreach(Bits.set(c, _))
+      for (r <- Seq(-1, rng.nextInt(30), rng.nextInt(100), 100)) {
+        val rowsBefore = rows.clone()
+        val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, r)
+        assert(rows.sameElements(rowsBefore), "the input rows must not change")
+        bruteDrop(rows, nLoc, words, cSet, ranks, r) match {
+          case None => assert(got eq rows, s"r=$r: nothing consumed, want the rows themselves")
+          case Some(want) =>
+            assert(!(got eq rows), s"r=$r: pairs consumed, want a copy")
+            assert(got.sameElements(want), s"r=$r: surviving rows differ")
+        }
+      }
+    }
+
+  test("dropConsumed returns the rows themselves when consumed pairs lie only outside C") {
+    val nLoc = 70
+    val words = Bits.words(nLoc)
+    val rows = new Array[Long](nLoc * words)
+    val ranks = new Array[Int](nLoc * nLoc)
+    def link(a: Int, b: Int, r: Int): Unit = {
+      Bits.setRow(rows, a * words, b); Bits.setRow(rows, b * words, a)
+      ranks(a * nLoc + b) = r; ranks(b * nLoc + a) = r
+    }
+    link(0, 65, 9); link(1, 65, 1); link(0, 1, 2); link(1, 66, 50)
+    val c = new Array[Long](words)
+    Seq(0, 65, 66).foreach(Bits.set(c, _))
+    assert(BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 8) eq rows)
+    val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 9)
+    assert(!Bits.getRow(got, 0, 65) && !Bits.getRow(got, 65 * words, 0))
+    assert(Bits.isEmpty(got.slice(words, 2 * words)), "rows outside C are not copied")
+  }
+
+  test("pair keys round-trip ranks above 2^24 and sort by rank, then pair") {
+    val nLoc = Workspace.MaxAnchorDegree
+    val rank = (1 << 24) + 5
+    val key = Kernels.pairKey(rank, nLoc - 1, nLoc - 2, nLoc)
+    assert(Kernels.keyRank(key) == rank)
+    assert(Kernels.keyCell(key) / nLoc == nLoc - 1 && Kernels.keyCell(key) % nLoc == nLoc - 2)
+    val keys = Seq(
+      Kernels.pairKey(1 << 23, 0, 1, nLoc),
+      Kernels.pairKey((1 << 23) - 1, nLoc - 1, nLoc - 2, nLoc),
+      Kernels.pairKey(rank, 0, 1, nLoc),
+      Kernels.pairKey(rank, 0, 2, nLoc),
+      Kernels.pairKey(Int.MaxValue, 1, 0, nLoc))
+    assert(keys.sorted.map(Kernels.keyRank) ==
+      Seq((1 << 23) - 1, 1 << 23, rank, rank, Int.MaxValue))
+    assert(keys.sorted.slice(2, 4).map(k => Kernels.keyCell(k) % nLoc) == Seq(1, 2))
+  }
+
+  test("EBBMC counts t-plex branches that early termination cannot take") {
+    val g = GraphGen.randomGnp(30, 0.5, 0)
+    val (cliques, s) = Engine.collectLocal(g, MceConfig.ebbmc)
+    assert(cliques == RefBK.enumerate(g))
+    assert(s.etApplied > 0)
+    assert(s.plexBranches > s.etApplied,
+      s"b = ${s.plexBranches} should exceed b0 = ${s.etApplied}: a t-plex with X non-empty is a b")
+  }
+
+  test("#Calls, ET hits and cliques of the edge-depth and inner-variant configs are pinned") {
+    val g = GraphGen.generate(GraphGen.DatasetConfig("T", "t", 400, 3, 25, 5, 12, 0, 271))
+    // (#Calls, ET applications b0), all with 1,040 maximal cliques
+    val want = Seq(
+      "d=2" -> (MceConfig.hbbmcDepth(2), 4202L, 157L),
+      "d=3" -> (MceConfig.hbbmcDepth(3), 6193L, 157L),
+      "EBBMC" -> (MceConfig.ebbmc, 6611L, 157L),
+      "Ref++" -> (MceConfig.refPP, 2008L, 172L),
+      "Rcd++" -> (MceConfig.rcdPP, 1864L, 133L),
+      "Fac++" -> (MceConfig.facPP, 3400L, 169L))
+    want.foreach { case (name, (cfg, calls, et)) =>
+      val (cliques, s) = Engine.collectLocal(g, cfg)
+      assert(cliques.size == 1040 && s.cliques == 1040, name)
+      assert(s.calls == calls, s"$name #Calls")
+      assert(s.etApplied == et, s"$name ET applications")
+    }
+  }
+}

@@ -91,6 +91,35 @@ class EngineSpec extends SparkSpec {
     assert(MceConfig.ebbmc.edgeDepth == Int.MaxValue)
   }
 
+  test("configs by the paper's names, and an unknown name lists the known ones") {
+    assert(MceConfig.byName("HBBMC++") == MceConfig.hbbmcPP)
+    assert(MceConfig.byName("RRef") == MceConfig.rRef)
+    assert(MceConfig.byName("EBBMC") == MceConfig.ebbmc)
+    assert(MceConfig.named.map(_._1).distinct.size == MceConfig.named.size)
+    val e = intercept[IllegalArgumentException](MceConfig.byName("hbbmcPP"))
+    assert(e.getMessage.contains("HBBMC++") && e.getMessage.contains("EBBMC"))
+  }
+
+  /** Two hubs (0 and 1, adjacent) sharing `k` leaves, the leaves linked in
+    * a cycle: minimum degree 4, so GR removes nothing, and the hub-hub edge
+    * is anchored at a hub of degree k + 1.
+    */
+  private def twoHubs(k: Int): LocalGraph = {
+    val leaves = 2 until k + 2
+    val edges = (0, 1) +: leaves.flatMap(l => Seq((0, l), (1, l), (l, 2 + (l - 1) % k)))
+    LocalGraph.fromEdges(k + 2, edges)
+  }
+
+  test("two-hub graph: HBBMC++ matches the reference") {
+    val g = twoHubs(300)
+    assert(Engine.collectLocal(g, MceConfig.hbbmcPP)._1 == RefBK.enumerate(g))
+  }
+
+  test("two-hub graph: an anchor too large for its pair-rank matrix fails with a clear message") {
+    val e = intercept[IllegalArgumentException](Engine.collectLocal(twoHubs(47000), MceConfig.hbbmcPP))
+    assert(e.getMessage.contains("degree 47001"), e.getMessage)
+  }
+
   test("singleton-only graph via the edge split without GR") {
     val g = LocalGraph.empty(4)
     val (cliques, _) = Engine.collectLocal(g, MceConfig.hbbmcPP.copy(gr = false))

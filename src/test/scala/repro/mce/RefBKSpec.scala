@@ -49,7 +49,7 @@ class RefBKSpec extends SparkSpec {
     val cs = RefBK.enumerate(g)
     assert(cs.distinct == cs)
     cs.foreach { c =>
-      c.combinations(2).foreach { case Seq(a, b) => assert(g.hasEdge(a, b)) }
+      c.combinations(2).foreach(p => assert(g.hasEdge(p(0), p(1))))
       val ext = (0 until g.n).filterNot(c.contains).filter(w => c.forall(g.hasEdge(_, w)))
       assert(ext.isEmpty)
     }
