@@ -40,8 +40,8 @@ final class LocalGraph private (
   /** O(log d) adjacency test via binary search on the smaller list. */
   def hasEdge(u: Int, v: Int): Boolean = {
     if (u == v) return false
-    val (a, b) = if (degree(u) <= degree(v)) (u, v) else (v, u)
-    binarySearch(adj, offsets(a), offsets(a + 1), b) >= 0
+    if (degree(u) <= degree(v)) binarySearch(adj, offsets(u), offsets(u + 1), v) >= 0
+    else binarySearch(adj, offsets(v), offsets(v + 1), u) >= 0
   }
 
   /** Canonical edge id of {u, v}, or -1 if absent. */

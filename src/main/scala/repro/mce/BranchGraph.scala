@@ -11,10 +11,11 @@ import repro.graph.LocalGraph
   * `survFlat eq fullFlat` and the kernels skip every dual-graph check.
   * See DESIGN.md §4.
   *
-  * Rows are only materialized where the kernels read them: candidate
-  * vertices get complete rows; exclusion vertices get bits at candidate
-  * positions only (X×X adjacency is never consulted), and no surviving
-  * rows at all.
+  * [[Workspace.neighborhood]] builds `fullFlat` up to a row bound `rowsEnd`:
+  * rows before it are complete, rows from it on have bits only before it.
+  * Edge branches build every row of their anchor (`rowsEnd = nLoc`); a
+  * vertex branch puts its candidates first and builds only their rows
+  * (`rowsEnd = |C|`), as the kernels never consult X×X adjacency.
   *
   * @param localRank row-major rank matrix (stride `nLoc`) of the local
   *                  candidate pairs, for edge-branching below level 1
@@ -30,31 +31,76 @@ final class BranchGraph(
     val localRank: Array[Int]
 )
 
-/** Reusable per-thread scratch for branch construction: member/flag buffers
-  * plus the shared anchor-neighborhood matrices.
+/** Reusable per-thread scratch for level-1 construction: a vertex branch's
+  * layout buffer, global-id marks and the shared neighborhood matrices.
   */
 final class Workspace(n: Int) {
   val idsBuf = new Array[Int](n)
-  val flagBuf = new Array[Boolean](n)
-  val newIdxBuf = new Array[Int](n)
-  // global-id → anchor-local index marks (stamped, no clearing needed)
-  val markStamp = new Array[Int](n)
+  // global-id → local index marks (stamped, no clearing needed)
+  private val markStamp = new Array[Int](n)
   val markLocal = new Array[Int](n)
-  var stamp = 0
-  def nextStamp(): Int = { stamp += 1; stamp }
-  // shared anchor-neighborhood matrices, grown on demand and reused
+  private var stamp = 0
+  // shared neighborhood matrices, grown on demand and reused
   var hFlat = new Array[Long](1024)
   var hRank = new Array[Int](4096)
-  def ensureAnchor(nLoc: Int, words: Int): Unit = {
-    val cells = nLoc.toLong * nLoc
-    require(cells <= Workspace.MaxAnchorCells,
-      s"an anchor of degree $nLoc needs a $cells-cell pair-rank matrix; at most " +
-        s"${Workspace.MaxAnchorCells} cells (degree ${Workspace.MaxAnchorDegree}) fit in one array")
-    val fl = nLoc * words
-    if (hFlat.length < fl) hFlat = new Array[Long](math.max(fl, hFlat.length * 2))
-    java.util.Arrays.fill(hFlat, 0, fl, 0L)
-    val rl = cells.toInt
-    if (hRank.length < rl) hRank = new Array[Int](math.max(rl, hRank.length * 2))
+
+  /** The one builder of level-1 neighborhood adjacency. Marks each
+    * `ids(i)`, i < `nLoc`, with local index i in `markLocal`, and sets in
+    * `hFlat` (rows of `words` longs) both cells of every adjacent pair
+    * (i, q) with i < `rowsEnd` and q > i; all other cells are zero. With
+    * `rank` non-null it also writes the pair's global edge rank into both
+    * cells of `hRank` (stride `nLoc`; other cells keep stale values). Either
+    * matrix may be replaced by a larger one, so read them after this call.
+    */
+  def neighborhood(g: LocalGraph, ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int,
+                   rank: Array[Int]): Unit = {
+    if (rank != null) {
+      val cells = nLoc.toLong * nLoc
+      require(cells <= Workspace.MaxAnchorCells,
+        s"an anchor of degree $nLoc needs a $cells-cell pair-rank matrix; at most " +
+          s"${Workspace.MaxAnchorCells} cells (degree ${Workspace.MaxAnchorDegree}) fit in one array")
+      if (hRank.length < cells) hRank = new Array[Int](math.max(cells.toInt, hRank.length * 2))
+    }
+    val rowWords = nLoc.toLong * words
+    require(rowWords <= Int.MaxValue,
+      s"a neighborhood of degree $nLoc needs a $rowWords-word adjacency matrix; at most " +
+        s"${Int.MaxValue} words fit in one array")
+    if (hFlat.length < rowWords) hFlat = new Array[Long](math.max(rowWords.toInt, hFlat.length * 2))
+    val h = hFlat
+    val hr = hRank
+    java.util.Arrays.fill(h, 0, rowWords.toInt, 0L)
+    def link(i: Int, q: Int): Unit = {
+      Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
+      if (rank != null) {
+        val er = rank(g.edgeId(ids(i), ids(q)))
+        hr(i * nLoc + q) = er; hr(q * nLoc + i) = er
+      }
+    }
+    stamp += 1
+    val st = stamp
+    val marks = markStamp
+    val local = markLocal
+    var i = 0
+    while (i < nLoc) { marks(ids(i)) = st; local(ids(i)) = i; i += 1 }
+    i = 0
+    while (i < rowsEnd) {
+      val a = ids(i)
+      if (g.degree(a) > 8 * nLoc) {
+        // a hub: probe the later ids instead of scanning its much longer
+        // adjacency list
+        var q = i + 1
+        while (q < nLoc) { if (g.hasEdge(a, ids(q))) link(i, q); q += 1 }
+      } else {
+        var p = g.offsets(a)
+        val end = g.offsets(a + 1)
+        while (p < end) {
+          val b = g.adj(p)
+          if (marks(b) == st && local(b) > i) link(i, local(b))
+          p += 1
+        }
+      }
+      i += 1
+    }
   }
 }
 
@@ -92,8 +138,9 @@ object BranchResult {
   *  - survival of a candidate pair (rank > rank(e)) is one matrix read.
   *
   * The matrices live in the per-thread [[Workspace]] and are reused across
-  * anchors, so a branch allocates only its C/X sets (plus a C-row surviving
-  * copy in the uncommon case that some candidate pair is already consumed).
+  * anchors, so a branch allocates only its C/X sets, plus, in the uncommon
+  * case that some candidate pair is already consumed, a fresh nLoc × words
+  * surviving matrix that holds C's rows (`BranchGraph.dropConsumed`).
   */
 final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
                           needRanks: Boolean, ws: Workspace) {
@@ -101,41 +148,28 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
   val words: Int = Bits.words(math.max(1, nLoc))
   /** neighbors of u in descending rank(u,·) order */
   val ids: Array[Int] = {
-    val a = g.neighbors(u)
-    val keys = a.map(w => rank(g.edgeId(u, w)))
-    val idx = a.indices.toArray.map(Integer.valueOf)
-    java.util.Arrays.sort(idx, (p: Integer, q: Integer) => Integer.compare(keys(q), keys(p)))
-    idx.map(a(_))
+    // key: ~rank in the high half (descending rank), the neighbor's id in
+    // the low half; edge ranks are distinct, so the id only fills the key
+    val keys = new Array[Long](nLoc)
+    val start = g.offsets(u)
+    var i = 0
+    while (i < nLoc) {
+      val w = g.adj(start + i)
+      keys(i) = (~rank(g.edgeId(u, w)).toLong << 32) | w
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    val out = new Array[Int](nLoc)
+    i = 0
+    while (i < nLoc) { out(i) = keys(i).toInt; i += 1 }
+    out
   }
-  // Build H and the pair-rank matrix. ensureAnchor may replace the shared
-  // buffers with larger ones, so capture them only afterwards.
-  ws.ensureAnchor(nLoc, words)
+  // The builder may replace the shared matrices with larger ones, so
+  // capture them only afterwards.
+  ws.neighborhood(g, ids, nLoc, nLoc, words, rank)
   private val h = ws.hFlat
   private val hRank = ws.hRank
   private val localRanks = if (needRanks) hRank else null
-  locally {
-    val stamp = ws.nextStamp()
-    var i = 0
-    while (i < nLoc) { ws.markStamp(ids(i)) = stamp; ws.markLocal(ids(i)) = i; i += 1 }
-    i = 0
-    while (i < nLoc) {
-      val a = ids(i)
-      var p = g.offsets(a); val pe = g.offsets(a + 1)
-      while (p < pe) {
-        val b = g.adj(p)
-        if (ws.markStamp(b) == stamp) {
-          val q = ws.markLocal(b)
-          if (q > i) {
-            Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
-            val er = rank(g.edgeId(a, b))
-            hRank(i * nLoc + q) = er; hRank(q * nLoc + i) = er
-          }
-        }
-        p += 1
-      }
-      i += 1
-    }
-  }
 
   /** Local index of a neighbor w of u — valid while this anchor's marks are
     * current (all of an anchor's branches run before the next anchor).
@@ -257,71 +291,34 @@ object BranchGraph {
 
   /** Branch for level-1 *vertex* branching at vertex `v` under the
     * degeneracy order (BK_Degen-style split): universe = N(v); candidates =
-    * neighbors later in the order, exclusions = earlier. Single adjacency.
+    * neighbors later in the order, exclusions = earlier. Single adjacency in
+    * the workspace's `hFlat`, valid until the next level-1 build.
     */
   def forVertexBranch(g: LocalGraph, pos: Array[Int], v: Int, ws: Workspace): BranchResult = {
     val nLoc = g.degree(v)
     if (nLoc == 0) return BranchResult.Trivial(Array(v)) // isolated: 1-clique
-    val ids = ws.idsBuf
-    val isCand = ws.flagBuf
+    val start = g.offsets(v)
     var cCount = 0
-    var i = 0
-    g.foreachNeighbor(v) { w =>
-      ids(i) = w
-      isCand(i) = pos(w) > pos(v)
-      if (isCand(i)) cCount += 1
-      i += 1
-    }
+    var p = start
+    while (p < start + nLoc) { if (pos(g.adj(p)) > pos(v)) cCount += 1; p += 1 }
     if (cCount == 0) return BranchResult.Trivial(null) // all neighbors earlier: dead
-    val words = Bits.words(nLoc)
-    val cWords = Bits.words(cCount)
-    val newIdx = ws.newIdxBuf
+    // Layout: candidates, then exclusions, each in ascending id (pivot ties
+    // follow it).
+    val ids = ws.idsBuf
     var nc = 0; var nx = cCount
-    i = 0
-    while (i < nLoc) {
-      if (isCand(i)) { newIdx(i) = nc; nc += 1 } else { newIdx(i) = nx; nx += 1 }
-      i += 1
+    p = start
+    while (p < start + nLoc) {
+      val w = g.adj(p)
+      if (pos(w) > pos(v)) { ids(nc) = w; nc += 1 } else { ids(nx) = w; nx += 1 }
+      p += 1
     }
-    val adj = new Array[Long](nLoc * words)
-    val c = new Array[Long](cWords)
-    i = 0
+    val words = Bits.words(nLoc)
+    ws.neighborhood(g, ids, nLoc, cCount, words, null)
+    val c = new Array[Long](Bits.words(cCount))
+    var i = 0
     while (i < cCount) { Bits.set(c, i); i += 1 }
     val x = new Array[Long](words)
-    i = cCount
     while (i < nLoc) { Bits.set(x, i); i += 1 }
-    i = 0
-    while (i < nLoc) {
-      if (isCand(i)) {
-        val a = ids(i)
-        val offI = newIdx(i) * words
-        if (g.degree(a) > 8 * nLoc) {
-          var q = 0
-          while (q < nLoc) {
-            if (q != i && (!isCand(q) || q > i) && g.hasEdge(a, ids(q))) {
-              Bits.setRow(adj, offI, newIdx(q)); Bits.setRow(adj, newIdx(q) * words, newIdx(i))
-            }
-            q += 1
-          }
-        } else {
-          var p = g.offsets(a); val pe = g.offsets(a + 1)
-          var q = 0
-          while (p < pe && q < nLoc) {
-            val na = g.adj(p); val nb = ids(q)
-            if (na == nb) {
-              if (!isCand(q) || q > i) {
-                Bits.setRow(adj, offI, newIdx(q)); Bits.setRow(adj, newIdx(q) * words, newIdx(i))
-              }
-              p += 1; q += 1
-            } else if (na < nb) p += 1
-            else q += 1
-          }
-        }
-      }
-      i += 1
-    }
-    val localIds = new Array[Int](nLoc)
-    i = 0
-    while (i < nLoc) { localIds(newIdx(i)) = ids(i); i += 1 }
-    BranchResult.Branch(new BranchGraph(nLoc, words, adj, adj, localIds, null), c, x, Array(v))
+    BranchResult.Branch(new BranchGraph(nLoc, words, ws.hFlat, ws.hFlat, ids, null), c, x, Array(v))
   }
 }

@@ -115,6 +115,16 @@ class EngineSpec extends SparkSpec {
     assert(Engine.collectLocal(g, MceConfig.hbbmcPP)._1 == RefBK.enumerate(g))
   }
 
+  test("two-hub graph: RDegen matches the reference") {
+    val g = twoHubs(300)
+    assert(Engine.collectLocal(g, MceConfig.rDegen)._1 == RefBK.enumerate(g))
+  }
+
+  test("two-hub graph: vertex branches need no pair-rank matrix, so RDegen runs past the anchor limit") {
+    // one clique {0, 1, l, l'} per cycle edge (l, l')
+    assert(Engine.runLocal(twoHubs(47000), MceConfig.rDegen, new CountingSink).cliques == 47000)
+  }
+
   test("two-hub graph: an anchor too large for its pair-rank matrix fails with a clear message") {
     val e = intercept[IllegalArgumentException](Engine.collectLocal(twoHubs(47000), MceConfig.hbbmcPP))
     assert(e.getMessage.contains("degree 47001"), e.getMessage)
