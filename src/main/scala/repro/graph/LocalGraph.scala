@@ -8,7 +8,8 @@ import scala.collection.mutable.ArrayBuffer
   * O(log d) membership tests and linear-merge set intersections.
   * Canonical edges are the pairs `(eu(i), ev(i))` with `eu(i) < ev(i)`,
   * sorted lexicographically, so an edge id doubles as a stable index
-  * for rank arrays (truss order, degeneracy-lex order, ...).
+  * for rank arrays (truss order, degeneracy-lex order, ...). `adjEdge`
+  * gives an O(1) edge id per adjacency slot, with no search.
   *
   * Instances are immutable and `Serializable` so they can be broadcast
   * to Spark executors by `repro.dist.DistMCE`.
@@ -17,9 +18,9 @@ final class LocalGraph private (
     val n: Int,
     val offsets: Array[Int], // length n + 1
     val adj: Array[Int],     // length 2m, sorted per vertex
+    val adjEdge: Array[Int], // length 2m: canonical edge id of {v, adj(p)} at slot p of v
     val eu: Array[Int],      // canonical edges, u < v, sorted by (u, v)
-    val ev: Array[Int],
-    val edgeOffsets: Array[Int] // length n + 1: canonical edges grouped by eu
+    val ev: Array[Int]
 ) extends Serializable {
 
   /** Number of undirected edges. */
@@ -37,18 +38,21 @@ final class LocalGraph private (
   def neighbors(v: Int): Array[Int] =
     java.util.Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
 
-  /** O(log d) adjacency test via binary search on the smaller list. */
-  def hasEdge(u: Int, v: Int): Boolean = {
-    if (u == v) return false
-    if (degree(u) <= degree(v)) binarySearch(adj, offsets(u), offsets(u + 1), v) >= 0
-    else binarySearch(adj, offsets(v), offsets(v + 1), u) >= 0
-  }
+  /** Adjacency slot of {u, v} in the smaller-degree endpoint's list, or
+    * -1 if absent: the one O(log d) binary search.
+    */
+  def edgeSlot(u: Int, v: Int): Int =
+    if (u == v) -1
+    else if (degree(u) <= degree(v)) binarySearch(adj, offsets(u), offsets(u + 1), v)
+    else binarySearch(adj, offsets(v), offsets(v + 1), u)
+
+  /** O(log d) adjacency test. */
+  def hasEdge(u: Int, v: Int): Boolean = edgeSlot(u, v) >= 0
 
   /** Canonical edge id of {u, v}, or -1 if absent. */
   def edgeId(u: Int, v: Int): Int = {
-    if (u == v) return -1
-    val a = math.min(u, v); val b = math.max(u, v)
-    binarySearch(ev, edgeOffsets(a), edgeOffsets(a + 1), b)
+    val p = edgeSlot(u, v)
+    if (p < 0) -1 else adjEdge(p)
   }
 
   /** Common neighbors of u and v (sorted), by linear merge. */
@@ -137,25 +141,18 @@ object LocalGraph {
     while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
     val cursor = java.util.Arrays.copyOf(offsets, n)
     val adj = new Array[Int](2 * mDistinct)
+    val adjEdge = new Array[Int](2 * mDistinct)
+    // Edges arrive in canonical (u, v) order, so vertex x first receives its
+    // smaller neighbours u < x in ascending order, then its larger ones
+    // v > x in ascending order: every list comes out sorted, and must not
+    // be re-sorted, which would break its pairing with `adjEdge`.
     i = 0
     while (i < mDistinct) {
-      adj(cursor(eu(i))) = ev(i); cursor(eu(i)) += 1
-      adj(cursor(ev(i))) = eu(i); cursor(ev(i)) += 1
+      adj(cursor(eu(i))) = ev(i); adjEdge(cursor(eu(i))) = i; cursor(eu(i)) += 1
+      adj(cursor(ev(i))) = eu(i); adjEdge(cursor(ev(i))) = i; cursor(ev(i)) += 1
       i += 1
     }
-    // Per-vertex lists are sorted because edges were processed in
-    // lexicographic canonical order for the u side; the v side gets
-    // ascending u too (canonical sort is by (u, v)), so both are sorted.
-    // Still sort defensively — O(m log d) on small slices.
-    i = 0
-    while (i < n) { java.util.Arrays.sort(adj, offsets(i), offsets(i + 1)); i += 1 }
-    val edgeOffsets = new Array[Int](n + 1)
-    val edgeDeg = new Array[Int](n)
-    i = 0
-    while (i < mDistinct) { edgeDeg(eu(i)) += 1; i += 1 }
-    i = 0
-    while (i < n) { edgeOffsets(i + 1) = edgeOffsets(i) + edgeDeg(i); i += 1 }
-    new LocalGraph(n, offsets, adj, eu, ev, edgeOffsets)
+    new LocalGraph(n, offsets, adj, adjEdge, eu, ev)
   }
 
   /** Build from parallel src/dst arrays (e.g., collected from a DataFrame). */

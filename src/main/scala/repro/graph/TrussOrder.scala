@@ -33,69 +33,74 @@ object TrussOrder {
       arr(len) = x; len += 1
     }
     def pop(): Int = { len -= 1; arr(len) }
-    def get(i: Int): Int = arr(i)
   }
 
   def compute(g: LocalGraph): EdgeOrderResult = {
     val m = g.m
     if (m == 0) return EdgeOrderResult(new Array[Int](0), 0)
-    // Forward triangle listing in O(δm): orient by degeneracy position and
-    // find, for each vertex u, triangles among its position-later neighbors.
-    // Each triangle is recorded once on each of its three edges as the pair
-    // of the OTHER two edge ids, so the peeling loop below is a pure array
-    // walk with no adjacency merging.
+    // Triangle listing in O(δm): orient each edge to its later endpoint in
+    // the degeneracy order; the forward lists (ascending id, with edge ids)
+    // hold at most δ entries, and only they are walked. Each triangle is
+    // recorded on each of its three edges as the pair of the OTHER two edge
+    // ids (6 ints per triangle), so the peel below is a pure array walk.
+    // Pass 0 counts the triangles per edge, pass 1 fills that CSR.
     val pos = Degeneracy.compute(g).pos
-    val triCnt = new Array[Int](m)
-    val tri1 = new IntStack; val tri2 = new IntStack; val tri3 = new IntStack
-    val markEdge = new Array[Int](g.n) // edgeId(u,w) for marked w, else -1
-    java.util.Arrays.fill(markEdge, -1)
+    val fOff = new Array[Int](g.n + 1)
+    val fAdj = new Array[Int](m)
+    val fEdge = new Array[Int](m)
     var u = 0
     while (u < g.n) {
-      // mark position-later neighbors of u with the connecting edge id
-      var p = g.offsets(u); val pe = g.offsets(u + 1)
+      var p = g.offsets(u); val pe = g.offsets(u + 1); var f = fOff(u)
       while (p < pe) {
-        val w = g.adj(p)
-        if (pos(w) > pos(u)) markEdge(w) = g.edgeId(u, w)
+        if (pos(g.adj(p)) > pos(u)) { fAdj(f) = g.adj(p); fEdge(f) = g.adjEdge(p); f += 1 }
         p += 1
       }
-      p = g.offsets(u)
-      while (p < pe) {
-        val a = g.adj(p)
-        if (pos(a) > pos(u)) {
-          val eUA = markEdge(a)
-          var q = g.offsets(a); val qe = g.offsets(a + 1)
+      fOff(u + 1) = f
+      u += 1
+    }
+    val triCnt = new Array[Int](m)
+    val off = new Array[Int](m + 1)
+    val cursor = new Array[Int](m)
+    var otherA: Array[Int] = null; var otherB: Array[Int] = null
+    val markEdge = new Array[Int](g.n) // edge id of (u, w) for marked w, else -1
+    java.util.Arrays.fill(markEdge, -1)
+    var pass = 0
+    while (pass < 2) {
+      u = 0
+      while (u < g.n) {
+        val pe = fOff(u + 1)
+        var p = fOff(u)
+        while (p < pe) { markEdge(fAdj(p)) = fEdge(p); p += 1 }
+        p = fOff(u)
+        while (p < pe) {
+          val a = fAdj(p); val eUA = fEdge(p)
+          var q = fOff(a); val qe = fOff(a + 1)
           while (q < qe) {
-            val w = g.adj(q)
-            if (pos(w) > pos(a) && markEdge(w) >= 0) {
-              val eUW = markEdge(w)
-              val eAW = g.edgeId(a, w)
-              tri1.push(eUA); tri2.push(eUW); tri3.push(eAW)
-              triCnt(eUA) += 1; triCnt(eUW) += 1; triCnt(eAW) += 1
+            val eUW = markEdge(fAdj(q))
+            if (eUW >= 0) {
+              val eAW = fEdge(q)
+              if (pass == 0) { triCnt(eUA) += 1; triCnt(eUW) += 1; triCnt(eAW) += 1 }
+              else {
+                otherA(cursor(eUA)) = eUW; otherB(cursor(eUA)) = eAW; cursor(eUA) += 1
+                otherA(cursor(eUW)) = eUA; otherB(cursor(eUW)) = eAW; cursor(eUW) += 1
+                otherA(cursor(eAW)) = eUA; otherB(cursor(eAW)) = eUW; cursor(eAW) += 1
+              }
             }
             q += 1
           }
+          p += 1
         }
-        p += 1
+        p = fOff(u)
+        while (p < pe) { markEdge(fAdj(p)) = -1; p += 1 }
+        u += 1
       }
-      p = g.offsets(u)
-      while (p < pe) { markEdge(g.adj(p)) = -1; p += 1 }
-      u += 1
-    }
-    val nTri = tri1.len
-    // CSR of (other-edge, other-edge) pairs per edge.
-    val off = new Array[Int](m + 1)
-    var e = 0
-    while (e < m) { off(e + 1) = off(e) + triCnt(e); e += 1 }
-    val otherA = new Array[Int](3 * nTri)
-    val otherB = new Array[Int](3 * nTri)
-    val cursor = java.util.Arrays.copyOf(off, m)
-    var t = 0
-    while (t < nTri) {
-      val a = tri1.get(t); val b = tri2.get(t); val c = tri3.get(t)
-      otherA(cursor(a)) = b; otherB(cursor(a)) = c; cursor(a) += 1
-      otherA(cursor(b)) = a; otherB(cursor(b)) = c; cursor(b) += 1
-      otherA(cursor(c)) = a; otherB(cursor(c)) = b; cursor(c) += 1
-      t += 1
+      if (pass == 0) {
+        var e = 0
+        while (e < m) { off(e + 1) = off(e) + triCnt(e); e += 1 }
+        otherA = new Array[Int](off(m)); otherB = new Array[Int](off(m))
+        System.arraycopy(off, 0, cursor, 0, m)
+      }
+      pass += 1
     }
     // Peel: repeatedly remove the minimum-support edge; supports = live
     // triangle counts. Bucket queue with lazy (stale-entry) deletion.
@@ -103,7 +108,7 @@ object TrussOrder {
     val removed = new Array[Boolean](m)
     val maxSup = sup.max
     val buckets = Array.fill(maxSup + 1)(new IntStack)
-    e = 0
+    var e = 0
     while (e < m) { buckets(sup(e)).push(e); e += 1 }
     val rank = new Array[Int](m)
     var tau = 0
@@ -188,12 +193,16 @@ object EdgeOrders {
       val u = g.eu(e); val v = g.ev(e)
       val r = rank(e)
       var c = 0
-      val common = g.commonNeighbors(u, v)
-      var i = 0
-      while (i < common.length) {
-        val w = common(i)
-        if (rank(g.edgeId(u, w)) > r && rank(g.edgeId(v, w)) > r) c += 1
-        i += 1
+      // merge N(u) and N(v); a match w gives both cross edges' slots
+      var i = g.offsets(u); var j = g.offsets(v)
+      val ie = g.offsets(u + 1); val je = g.offsets(v + 1)
+      while (i < ie && j < je) {
+        val a = g.adj(i); val b = g.adj(j)
+        if (a == b) {
+          if (rank(g.adjEdge(i)) > r && rank(g.adjEdge(j)) > r) c += 1
+          i += 1; j += 1
+        } else if (a < b) i += 1
+        else j += 1
       }
       best = math.max(best, c)
       e += 1

@@ -69,10 +69,10 @@ final class Workspace(n: Int) {
     val h = hFlat
     val hr = hRank
     java.util.Arrays.fill(h, 0, rowWords.toInt, 0L)
-    def link(i: Int, q: Int): Unit = {
+    def link(i: Int, q: Int, slot: Int): Unit = {
       Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
       if (rank != null) {
-        val er = rank(g.edgeId(ids(i), ids(q)))
+        val er = rank(g.adjEdge(slot))
         hr(i * nLoc + q) = er; hr(q * nLoc + i) = er
       }
     }
@@ -89,13 +89,13 @@ final class Workspace(n: Int) {
         // a hub: probe the later ids instead of scanning its much longer
         // adjacency list
         var q = i + 1
-        while (q < nLoc) { if (g.hasEdge(a, ids(q))) link(i, q); q += 1 }
+        while (q < nLoc) { val p = g.edgeSlot(a, ids(q)); if (p >= 0) link(i, q, p); q += 1 }
       } else {
         var p = g.offsets(a)
         val end = g.offsets(a + 1)
         while (p < end) {
           val b = g.adj(p)
-          if (marks(b) == st && local(b) > i) link(i, local(b))
+          if (marks(b) == st && local(b) > i) link(i, local(b), p)
           p += 1
         }
       }
@@ -155,7 +155,7 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
     var i = 0
     while (i < nLoc) {
       val w = g.adj(start + i)
-      keys(i) = (~rank(g.edgeId(u, w)).toLong << 32) | w
+      keys(i) = (~rank(g.adjEdge(start + i)).toLong << 32) | w
       i += 1
     }
     java.util.Arrays.sort(keys)

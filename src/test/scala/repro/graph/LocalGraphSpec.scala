@@ -85,6 +85,29 @@ class LocalGraphSpec extends SparkSpec {
     }
   }
 
+  /** Every adjacency slot p of every vertex v holds the canonical id of
+    * {v, adj(p)}, and `edgeSlot` finds a slot of the same edge in the list
+    * of the endpoint of smaller degree.
+    */
+  private def assertSlotEdges(g: LocalGraph): Unit = {
+    assert(g.adjEdge.length == g.adj.length)
+    for (v <- 0 until g.n; p <- g.offsets(v) until g.offsets(v + 1)) {
+      val w = g.adj(p); val e = g.adjEdge(p)
+      assert(g.eu(e) == math.min(v, w) && g.ev(e) == math.max(v, w), s"slot $p of $v")
+      val s = g.edgeSlot(v, w)
+      val owner = if (g.degree(v) <= g.degree(w)) v else w
+      assert(s >= g.offsets(owner) && s < g.offsets(owner + 1) && g.adjEdge(s) == e)
+    }
+  }
+
+  test("adjEdge holds the canonical edge id of every adjacency slot") {
+    assertSlotEdges(LocalGraph.empty(5))
+    assertSlotEdges(LocalGraph.complete(7))
+    assertSlotEdges(GraphGen.randomGnp(40, 0.15, 2))
+    assert(LocalGraph.empty(5).edgeSlot(1, 2) == -1)
+    assert(LocalGraph.complete(7).edgeSlot(3, 3) == -1)
+  }
+
   for (seed <- 0 until 20)
     test(s"property: construction invariants on random multigraph seed=$seed") {
       val rng = new Random(seed)
@@ -98,5 +121,6 @@ class LocalGraphSpec extends SparkSpec {
       assert(g.m == expected.size)
       expected.foreach { case (u, v) => assert(g.hasEdge(u, v)) }
       assert((0 until g.n).map(g.degree).sum == 2 * g.m)
+      assertSlotEdges(g)
     }
 }

@@ -1,9 +1,77 @@
 package repro.graph
 
 import repro.{SparkSpec, TestGraphs}
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 class TrussOrderSpec extends SparkSpec {
+
+  /** The truss ordering as computed before forward lists: the triangles are
+    * listed by walking each forward neighbour's whole adjacency and
+    * searching edge ids, O(Σ deg²), in the order (u, then a, then w, each
+    * ascending id). The ranks depend on that order, through the order of
+    * each edge's triangle records and so of the bucket pushes in the peel.
+    */
+  private def referenceRank(g: LocalGraph): Array[Int] = {
+    val pos = Degeneracy.compute(g).pos
+    val tris = ArrayBuffer.empty[(Int, Int, Int)]
+    for (u <- 0 until g.n; a <- g.neighbors(u) if pos(a) > pos(u);
+         w <- g.neighbors(a) if pos(w) > pos(a) && g.hasEdge(u, w))
+      tris += ((g.edgeId(u, a), g.edgeId(u, w), g.edgeId(a, w)))
+    val other = Array.fill(g.m)(ArrayBuffer.empty[(Int, Int)])
+    for ((a, b, c) <- tris) { other(a) += ((b, c)); other(b) += ((a, c)); other(c) += ((a, b)) }
+    val sup = Array.tabulate(g.m)(other(_).size)
+    val maxSup = if (g.m == 0) 0 else sup.max
+    val buckets = Array.fill(maxSup + 1)(ArrayBuffer.empty[Int])
+    for (e <- 0 until g.m) buckets(sup(e)) += e
+    val removed = new Array[Boolean](g.m)
+    val rank = new Array[Int](g.m)
+    var next = 0; var cur = 0
+    while (next < g.m) {
+      while (buckets(cur).isEmpty) cur += 1
+      val e = buckets(cur).remove(buckets(cur).size - 1)
+      if (!removed(e) && sup(e) == cur) {
+        removed(e) = true; rank(e) = next; next += 1
+        for ((e1, e2) <- other(e) if !removed(e1) && !removed(e2)) {
+          sup(e1) -= 1; buckets(sup(e1)) += e1
+          sup(e2) -= 1; buckets(sup(e2)) += e2
+          cur = math.min(cur, math.min(sup(e1), sup(e2)))
+        }
+      }
+    }
+    rank
+  }
+
+  test("rank is pinned to the reference listing order") {
+    val hubs = GraphGen.DatasetConfig("H", "hubs", 3000, 3, 80, 4, 12, 0, 31, 3, 25, 35, 0.6,
+      nHubs = 4, hubDeg = 600)
+    val graphs = Seq(GraphGen.generate(hubs), GraphGen.generate(GraphGen.byName("FB")),
+      GraphGen.generate(GraphGen.byName("WE")), GraphGen.ba(800, 5, 3)) ++
+      (0 until 4).map(s => GraphGen.randomGnp(60, 0.3, s + 900))
+    for (g <- graphs) {
+      val r = TrussOrder.compute(g)
+      assert(r.rank.sameElements(referenceRank(g)), s"n=${g.n} m=${g.m}")
+    }
+  }
+
+  test("greedy peel: each edge has the minimum live support at its removal") {
+    for (seed <- 0 until 6) {
+      val g = GraphGen.randomGnp(25, 0.35, seed + 700)
+      val r = TrussOrder.compute(g)
+      val live = Array.fill(g.m)(true)
+      def support(e: Int): Int = g.commonNeighbors(g.eu(e), g.ev(e)).count { w =>
+        live(g.edgeId(g.eu(e), w)) && live(g.edgeId(g.ev(e), w))
+      }
+      var tau = 0
+      for (e <- (0 until g.m).sortBy(r.rank(_))) {
+        val min = (0 until g.m).filter(live(_)).map(support).min
+        assert(support(e) == min, s"seed=$seed edge $e rank ${r.rank(e)}")
+        tau = math.max(tau, min)
+        live(e) = false
+      }
+      assert(tau == r.bound)
+    }
+  }
 
   test("empty and edgeless graphs") {
     assert(TrussOrder.compute(LocalGraph.empty(5)).bound == 0)
