@@ -13,7 +13,7 @@ import repro.SparkSpec
   */
 class Table1Bench extends SparkSpec {
   test("Table I: dataset statistics") {
-    println(BenchTables.table1(Some(spark)))
+    println(BenchTables.table1())
   }
 }
 

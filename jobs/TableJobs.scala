@@ -21,10 +21,7 @@ object JobSession {
 }
 
 object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("table1")
-    try println(BenchTables.table1(Some(spark))) finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = println(BenchTables.table1())
 }
 
 object Table2Job {

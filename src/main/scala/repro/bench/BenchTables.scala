@@ -104,8 +104,8 @@ object BenchTables {
 
   // ------------------------------------------------------------- Table I
 
-  def table1(spark: Option[SparkSession]): String = {
-    val rows = DatasetStats.computeSuite(spark).map { r =>
+  def table1(): String = {
+    val rows = DatasetStats.computeSuite().map { r =>
       Seq(r.name, r.n.toString, r.m.toString, r.delta.toString, r.tau.toString,
         f"${r.rho}%.1f", if (r.conditionHolds) "yes" else "no")
     }

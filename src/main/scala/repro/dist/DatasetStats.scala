@@ -1,6 +1,5 @@
 package repro.dist
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.{Degeneracy, GraphGen, LocalGraph, TrussOrder}
 
 /** Table I statistics for one dataset: |V|, |E|, δ, τ, ρ and the paper's
@@ -19,19 +18,9 @@ final case class DatasetStatsRow(
 
 object DatasetStats {
 
-  def compute(name: String, fullName: String, g: LocalGraph,
-              spark: Option[SparkSession] = None): DatasetStatsRow = {
-    // n and m via the DataFrame pipeline when a session is supplied (the
-    // bench does this so the relational path is exercised end-to-end);
-    // δ and τ are inherently sequential peeling procedures on the driver.
-    val (n, m) = spark match {
-      case Some(s) =>
-        val edges = GraphOps.normalize(GraphOps.toEdgesDf(s, g))
-        val mm = edges.count()
-        val nn = g.n.toLong // isolated vertices never appear in the edge list
-        (nn, mm)
-      case None => (g.n.toLong, g.m.toLong)
-    }
+  def compute(name: String, fullName: String, g: LocalGraph): DatasetStatsRow = {
+    val n = g.n.toLong
+    val m = g.m.toLong
     val delta = Degeneracy.compute(g).delta
     val tau = TrussOrder.compute(g).bound
     val rho = if (n == 0) 0.0 else m.toDouble / n.toDouble
@@ -39,8 +28,6 @@ object DatasetStats {
     DatasetStatsRow(name, fullName, n, m, delta, tau, rho, cond)
   }
 
-  def computeSuite(spark: Option[SparkSession]): Seq[DatasetStatsRow] =
-    GraphGen.paperSuite.map { cfg =>
-      compute(cfg.name, cfg.fullName, GraphGen.generate(cfg), spark)
-    }
+  def computeSuite(): Seq[DatasetStatsRow] =
+    GraphGen.paperSuite.map(cfg => compute(cfg.name, cfg.fullName, GraphGen.generate(cfg)))
 }

@@ -14,24 +14,6 @@ import scala.util.Random
   */
 object GraphGen {
 
-  /** Erdős–Rényi G(n, m): m distinct uniform random edges. */
-  def er(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new Random(seed)
-    val seen = new java.util.HashSet[Long]()
-    val edges = new ArrayBuffer[(Int, Int)](m)
-    val maxEdges = n.toLong * (n - 1) / 2
-    val target = math.min(m.toLong, maxEdges).toInt
-    while (edges.length < target) {
-      val u = rng.nextInt(n); val v = rng.nextInt(n)
-      if (u != v) {
-        val a = math.min(u, v); val b = math.max(u, v)
-        val key = (a.toLong << 32) | b
-        if (seen.add(key)) edges += ((a, b))
-      }
-    }
-    LocalGraph.fromEdges(n, edges)
-  }
-
   /** Barabási–Albert preferential attachment: each new vertex attaches to
     * `mPer` existing vertices sampled proportionally to degree.
     */

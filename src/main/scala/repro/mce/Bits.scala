@@ -15,11 +15,6 @@ object Bits {
 
   def clear(a: Array[Long], i: Int): Unit = a(i >>> 6) &= ~(1L << (i & 63))
 
-  def copy(a: Array[Long]): Array[Long] = java.util.Arrays.copyOf(a, a.length)
-
-  def copyInto(dest: Array[Long], src: Array[Long]): Unit =
-    System.arraycopy(src, 0, dest, 0, dest.length)
-
   def isEmpty(a: Array[Long]): Boolean = {
     var i = 0
     while (i < a.length) { if (a(i) != 0L) return false; i += 1 }
@@ -42,7 +37,9 @@ object Bits {
     -1
   }
 
-  /** Iterate set bits in ascending order. */
+  /** Iterate set bits in ascending order. Each word is read once, before
+    * its bits are visited, so `f` may clear bits of `a`.
+    */
   def foreachBit(a: Array[Long])(f: Int => Unit): Unit = {
     var i = 0
     while (i < a.length) {
@@ -83,28 +80,16 @@ object Bits {
     c
   }
 
-  /** dest = set & row. */
+  /** dest = set & row; dest may be `set` itself. */
   def andIntoRow(dest: Array[Long], set: Array[Long], flat: Array[Long], off: Int): Unit = {
     var i = 0
     while (i < dest.length) { dest(i) = set(i) & flat(off + i); i += 1 }
   }
 
-  def andRow(set: Array[Long], flat: Array[Long], off: Int): Array[Long] = {
-    val d = new Array[Long](set.length); andIntoRow(d, set, flat, off); d
-  }
-
-  /** dest = set & ~row (into-variant for pooled buffers). */
+  /** dest = set & ~row. */
   def andNotIntoRow(dest: Array[Long], set: Array[Long], flat: Array[Long], off: Int): Unit = {
     var i = 0
     while (i < dest.length) { dest(i) = set(i) & ~flat(off + i); i += 1 }
-  }
-
-  /** dest = set & ~row. */
-  def andNotRow(set: Array[Long], flat: Array[Long], off: Int): Array[Long] = {
-    val d = new Array[Long](set.length)
-    var i = 0
-    while (i < d.length) { d(i) = set(i) & ~flat(off + i); i += 1 }
-    d
   }
 
   /** dest = (x & fullRow) | (c & fullRow & ~survRow); `c` may be shorter
@@ -131,14 +116,9 @@ object Bits {
     }
   }
 
-  /** dest = a & ~b with b possibly shorter than a. */
-  def andNotMixed(a: Array[Long], b: Array[Long]): Array[Long] = {
-    val d = new Array[Long](a.length)
+  /** a &= ~b with b possibly shorter than a. */
+  def andNotInPlace(a: Array[Long], b: Array[Long]): Unit = {
     var i = 0
-    while (i < a.length) {
-      d(i) = a(i) & ~(if (i < b.length) b(i) else 0L)
-      i += 1
-    }
-    d
+    while (i < b.length) { a(i) &= ~b(i); i += 1 }
   }
 }

@@ -6,7 +6,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * A level-1 branch (one edge or one vertex of the ordered initial split)
   * is solved entirely inside its `BranchGraph` with bitset sets. Four
-  * vertex-oriented variants mirror the paper's baselines:
+  * vertex-oriented variants mirror the paper's baselines. They share one
+  * Bron–Kerbosch step (`Solver.take`) and differ only in which candidates
+  * they branch on:
   *
   *  - [[Kernels.Pivot]] — classic Tomita max-pivot (BK_Pivot / BK_Degen);
   *    the inner engine of HBBMC (Algorithm 4).
@@ -23,11 +25,12 @@ import scala.collection.mutable.ArrayBuffer
   * formulation of DESIGN.md §4; it is used for the paper's Table IV
   * (d ≥ 2) and for pure EBBMC.
   *
-  * Early termination (Section IV) hooks into every variant: the t-plex
-  * condition is checked during the degree scan that pivot selection needs
-  * anyway, as the paper prescribes. A `clean` flag records that no consumed
-  * (deleted) pair can exist inside C — once true it is inherited by every
-  * descendant, so dual-graph checks are skipped.
+  * Every kernel call opens with the same prologue (`Solver.open`), and early
+  * termination (Section IV) hooks in there: the t-plex condition is checked
+  * during the degree scan that pivot selection needs anyway, as the paper
+  * prescribes. A `clean` flag records that no consumed (deleted) pair can
+  * exist inside C — once true it is inherited by every descendant, so
+  * dual-graph checks are skipped.
   */
 object Kernels {
 
@@ -40,7 +43,8 @@ object Kernels {
   /** Kernel-level configuration (see `repro.mce.MceConfig`). */
   final case class KernelConfig(variant: Variant, etT: Int, edgeDepth: Int) extends Serializable
 
-  /** Solve one level-1 branch.
+  /** Solve one level-1 branch. The kernels update `c` and `x` in place, so
+    * the caller must not read them afterwards.
     *
     * @param sPrefix global vertex ids already in the partial clique S
     * @param level   depth of this branch in the recursion tree (level-1 = 1,
@@ -49,8 +53,7 @@ object Kernels {
     */
   def solve(bg: BranchGraph, c: Array[Long], x: Array[Long], sPrefix: Array[Int],
             level: Int, cfg: KernelConfig, counters: Counters, sink: CliqueSink): Unit = {
-    val solver = new Solver(bg, cfg, counters, sink)
-    solver.setPoolLengths(c, x)
+    val solver = new Solver(bg, cfg, counters, sink, c.length, x.length)
     var i = 0
     while (i < sPrefix.length) { solver.buf(i) = sPrefix(i); i += 1 }
     solver.len = sPrefix.length
@@ -68,7 +71,19 @@ object Kernels {
   /** The cell `i * nLoc + j` of a [[pairKey]]. */
   private[mce] def keyCell(key: Long): Int = key.toInt
 
-  private final class Solver(bg: BranchGraph, cfg: KernelConfig, counters: Counters, sink: CliqueSink) {
+  /** The search state of one level-1 branch.
+    *
+    * A kernel owns the C and X it is handed: no caller reads them again, so
+    * the kernel updates them in place. Every other set a call needs comes
+    * from two depth pools of `cLen`- and `xLen`-word buffers. The recursion
+    * is properly nested, so the pools work like a stack: a step takes the
+    * next free slots for its child and rewinds both pools when the child
+    * returns, which also frees whatever the child took. No kernel allocates
+    * a bitset per call (per-call allocation otherwise throttles 16-way
+    * Spark execution with GC).
+    */
+  private final class Solver(bg: BranchGraph, cfg: KernelConfig, counters: Counters, sink: CliqueSink,
+                             cLen: Int, xLen: Int) {
     val buf = new Array[Int](bg.nLoc + 8)
     var len = 0
     // The surviving rows in force: the level-1 rows, or while a hand-off
@@ -77,16 +92,10 @@ object Kernels {
     private val full = bg.fullFlat
     private val W = bg.words
 
-    // Depth-pooled candidate/exclusion buffers: the recursion is properly
-    // nested, so reusing stack-indexed buffers removes nearly all per-call
-    // allocation (which otherwise throttles 16-way Spark execution with GC).
-    private var cLen = 0
-    private var xLen = 0
     private val cPool = new java.util.ArrayList[Array[Long]]()
     private val xPool = new java.util.ArrayList[Array[Long]]()
     private var cPos = 0
     private var xPos = 0
-    def setPoolLengths(c: Array[Long], x: Array[Long]): Unit = { cLen = c.length; xLen = x.length }
     private def allocC(): Array[Long] = {
       if (cPos == cPool.size) cPool.add(new Array[Long](cLen))
       val a = cPool.get(cPos); cPos += 1; a
@@ -96,32 +105,60 @@ object Kernels {
       val a = xPool.get(xPos); xPos += 1; a
     }
 
-    def dispatch(c: Array[Long], x: Array[Long], r: Int, level: Int): Unit = {
-      val clean = surv eq full
+    def dispatch(c: Array[Long], x: Array[Long], r: Int, level: Int): Unit =
       if (level <= cfg.edgeDepth && bg.localRank != null) edgeRec(c, x, r, level)
-      else cfg.variant match {
-        case Pivot => pivotRec(c, x, refMode = false, clean)
-        case Ref   => pivotRec(c, x, refMode = true, clean)
-        case Rcd   => rcdRec(c, x, clean)
-        case Fac   => facRec(c, x, clean)
-      }
+      else vertexRec(c, x, surv eq full)
+
+    private def vertexRec(c: Array[Long], x: Array[Long], clean: Boolean): Unit = cfg.variant match {
+      case Pivot => pivotRec(c, x, refMode = false, clean)
+      case Ref   => pivotRec(c, x, refMode = true, clean)
+      case Rcd   => rcdRec(c, x, clean)
+      case Fac   => facRec(c, x, clean)
     }
 
-    /** Early-termination dispatch after a `scan`: the 1-plex (clique) case
-      * is emitted inline — the complement machinery is reserved for real
-      * 2-/3-plexes.
+    /** The prologue of every kernel call: count the call and emit S when
+      * C = X = ∅; when `scans`, run the degree `scan` and the t-plex exit.
+      * Returns |C|, or -1 when the branch is done.
       */
-    private def etEmit(c: Array[Long], cSize: Int): Unit = {
-      counters.etApplied += 1
-      if (minD == cSize - 1) {
-        val save = len
-        Bits.foreachBit(c) { v => buf(len) = bg.globalIds(v); len += 1 }
-        emit()
-        len = save
-      } else EarlyTermination.enumerate(bg, c, buf, len, sink)
+    private def open(c: Array[Long], x: Array[Long], clean: Boolean, scans: Boolean): Int = {
+      counters.calls += 1
+      val cSize = Bits.count(c)
+      if (cSize == 0) {
+        if (Bits.isEmpty(x)) emit()
+        -1
+      } else if (scans && { scan(c, clean); plexDone(c, cSize, x) }) -1
+      else cSize
+    }
+
+    /** The one vertex step: recurse into the child of candidate `v` —
+      * C ∩ N_surv(v), and X ∩ N_full(v) plus, unless `clean`, the candidates
+      * whose pair with v is consumed — then move v from C to X.
+      */
+    private def take(v: Int, c: Array[Long], x: Array[Long], clean: Boolean): Unit = {
+      val cMark = cPos
+      val xMark = xPos
+      val cN = allocC()
+      val xN = allocX()
+      Bits.andIntoRow(cN, c, surv, v * W)
+      if (clean) Bits.andIntoRow(xN, x, full, v * W)
+      else Bits.mixXIntoRow(xN, x, c, full, surv, v * W)
+      buf(len) = bg.globalIds(v); len += 1
+      vertexRec(cN, xN, clean)
+      len -= 1
+      cPos = cMark
+      xPos = xMark
+      Bits.clear(c, v); Bits.set(x, v)
     }
 
     private def emit(): Unit = sink.emit(buf, len)
+
+    /** Emit S ∪ `set`. */
+    private def emitWith(set: Array[Long]): Unit = {
+      val save = len
+      Bits.foreachBit(set) { v => buf(len) = bg.globalIds(v); len += 1 }
+      emit()
+      len = save
+    }
 
     // Results of the last `scan`, read by the caller before it recurses: the
     // minimum and maximum surviving degree inside C and a vertex attaining
@@ -157,32 +194,31 @@ object Kernels {
     }
 
     /** After a `scan` of C (|C| = `cSize`): count a t-plex branch (the
-      * paper's b) and, when X is empty, solve it by early termination.
+      * paper's b) and, when X is empty, solve it by early termination — a
+      * 1-plex (clique) inline, real 2-/3-plexes by the complement machinery.
       * Returns true when the branch is done.
       */
     private def plexDone(c: Array[Long], cSize: Int, x: Array[Long]): Boolean =
       if (cfg.etT >= 1 && noDeleted && minD >= cSize - cfg.etT) {
         counters.plexBranches += 1
-        if (Bits.isEmpty(x)) { etEmit(c, cSize); true } else false
+        if (Bits.isEmpty(x)) {
+          counters.etApplied += 1
+          if (minD == cSize - 1) emitWith(c)
+          else EarlyTermination.enumerate(bg, c, buf, len, sink)
+          true
+        } else false
       } else false
 
     // ---------------------------------------------------------------- pivot
 
     private def pivotRec(c: Array[Long], x: Array[Long], refMode: Boolean, clean: Boolean): Unit = {
-      counters.calls += 1
-      val cSize = Bits.count(c)
-      if (cSize == 0) {
-        if (Bits.isEmpty(x)) emit()
-        return
-      }
-      scan(c, clean)
-      if (plexDone(c, cSize, x)) return
+      val cSize = open(c, x, clean, scans = true)
+      if (cSize < 0) return
       var pivot = maxV
       var pivotCnt = maxD
       var pivotFromX = false
       val childClean = clean || noDeleted
-      val xEmpty = Bits.isEmpty(x)
-      if (!xEmpty) {
+      if (!Bits.isEmpty(x)) {
         Bits.foreachBit(x) { xv =>
           val cnt = Bits.countAndRow(c, full, xv * W)
           if (cnt > pivotCnt || (refMode && cnt == pivotCnt)) {
@@ -193,107 +229,54 @@ object Kernels {
         // candidate makes every clique of this branch non-maximal.
         if (refMode && pivotFromX && pivotCnt == cSize) return
       }
-      val cBase = cPos
-      val xBase = xPos
       val branchSet = allocC()
-      if (pivotFromX) Bits.andNotIntoRow(branchSet, c, full, pivot * W)
-      else Bits.andNotIntoRow(branchSet, c, surv, pivot * W)
-      val cw = allocC(); Bits.copyInto(cw, c)
-      val xw = allocX(); Bits.copyInto(xw, x)
-      val cN = allocC()
-      val xN = allocX()
-      Bits.foreachBit(branchSet) { v =>
-        Bits.andIntoRow(cN, cw, surv, v * W)
-        if (childClean) Bits.andIntoRow(xN, xw, full, v * W)
-        else Bits.mixXIntoRow(xN, xw, cw, full, surv, v * W)
-        buf(len) = bg.globalIds(v); len += 1
-        pivotRec(cN, xN, refMode, childClean)
-        len -= 1
-        Bits.clear(cw, v); Bits.set(xw, v)
-      }
-      cPos = cBase
-      xPos = xBase
+      Bits.andNotIntoRow(branchSet, c, if (pivotFromX) full else surv, pivot * W)
+      Bits.foreachBit(branchSet) { v => take(v, c, x, childClean) }
     }
 
     // ------------------------------------------------------------------ rcd
 
     private def rcdRec(c: Array[Long], x: Array[Long], clean0: Boolean): Unit = {
-      counters.calls += 1
-      if (Bits.isEmpty(c) && Bits.isEmpty(x)) { emit(); return }
-      val cw = Bits.copy(c)
-      val xw = Bits.copy(x)
-      var clean = clean0
-      var done = false
-      while (!done) {
-        val cSize = Bits.count(cw)
-        if (cSize == 0) return
-        scan(cw, clean)
+      var cSize = open(c, x, clean0, scans = true)
+      if (cSize < 0) return
+      var clean = clean0 || noDeleted
+      while (minD < cSize - 1) {
+        take(minV, c, x, clean)
+        cSize -= 1
+        scan(c, clean)
         clean = clean || noDeleted
-        if (plexDone(cw, cSize, xw)) return
-        if (minD == cSize - 1) {
-          // cw is a clique (then necessarily no deleted pair): the single
-          // candidate maximal clique is S ∪ C — emit unless an exclusion
-          // vertex extends it (Algorithm 9 lines 10-11).
-          var extender = false
-          Bits.foreachBit(xw) { xv =>
-            if (!extender && Bits.countAndRow(cw, full, xv * W) == cSize) extender = true
-          }
-          if (!extender) {
-            val save = len
-            Bits.foreachBit(cw) { v => buf(len) = bg.globalIds(v); len += 1 }
-            emit()
-            len = save
-          }
-          done = true
-        } else {
-          val v = minV // the recursion below rescans
-          val cN = Bits.andRow(cw, surv, v * W)
-          val xN = new Array[Long](W)
-          if (clean) Bits.andIntoRow(xN, xw, full, v * W)
-          else Bits.mixXIntoRow(xN, xw, cw, full, surv, v * W)
-          buf(len) = bg.globalIds(v); len += 1
-          rcdRec(cN, xN, clean)
-          len -= 1
-          Bits.clear(cw, v); Bits.set(xw, v)
-        }
+        if (plexDone(c, cSize, x)) return
       }
+      // C is a clique (then necessarily no deleted pair): the single
+      // candidate maximal clique is S ∪ C — emit unless an exclusion vertex
+      // extends it (Algorithm 9 lines 10-11).
+      var extender = false
+      Bits.foreachBit(x) { xv =>
+        if (!extender && Bits.countAndRow(c, full, xv * W) == cSize) extender = true
+      }
+      if (!extender) emitWith(c)
     }
 
     // ------------------------------------------------------------------ fac
 
     private def facRec(c: Array[Long], x: Array[Long], clean0: Boolean): Unit = {
-      counters.calls += 1
-      val cSize = Bits.count(c)
-      if (cSize == 0) {
-        if (Bits.isEmpty(x)) emit()
-        return
-      }
-      var clean = clean0
-      if (cfg.etT >= 1) {
-        scan(c, clean)
-        clean = clean || noDeleted
-        if (plexDone(c, cSize, x)) return
-      }
-      val cw = Bits.copy(c)
-      val xw = Bits.copy(x)
-      val v0 = Bits.first(cw)
-      var p = Bits.andNotRow(cw, surv, v0 * W)
+      val scans = cfg.etT >= 1
+      if (open(c, x, clean0, scans) < 0) return
+      val clean = clean0 || (scans && noDeleted)
+      // p: the branches the current pivot leaves; q: those u would leave.
+      var p = allocC()
+      var q = allocC()
+      Bits.andNotIntoRow(p, c, surv, Bits.first(c) * W)
       var pCount = Bits.count(p)
       while (pCount > 0) {
         val u = Bits.first(p)
-        val cN = Bits.andRow(cw, surv, u * W)
-        val xN = new Array[Long](W)
-        if (clean) Bits.andIntoRow(xN, xw, full, u * W)
-        else Bits.mixXIntoRow(xN, xw, cw, full, surv, u * W)
-        buf(len) = bg.globalIds(u); len += 1
-        facRec(cN, xN, clean)
-        len -= 1
-        Bits.clear(cw, u); Bits.set(xw, u); Bits.clear(p, u); pCount -= 1
+        take(u, c, x, clean)
+        Bits.clear(p, u); pCount -= 1
         // Alg. 10 lines 15–17: adopt u as pivot if it prunes harder. u is in
         // X now, so its pruning set uses full adjacency.
-        val p2 = Bits.andNotRow(cw, full, u * W)
-        val p2c = Bits.count(p2)
-        if (p2c < pCount) { p = p2; pCount = p2c }
+        Bits.andNotIntoRow(q, c, full, u * W)
+        val qCount = Bits.count(q)
+        if (qCount < pCount) { val t = p; p = q; q = t; pCount = qCount }
       }
     }
 
@@ -318,22 +301,20 @@ object Kernels {
       * `cfg.edgeDepth` the vertex-oriented variant takes over.
       */
     private def edgeRec(c: Array[Long], x: Array[Long], r: Int, level: Int): Unit = {
-      counters.calls += 1
+      if (open(c, x, clean = false, scans = false) < 0) return
       val cArr = Bits.toArray(c)
-      if (cArr.isEmpty) {
-        if (Bits.isEmpty(x)) emit()
-        return
-      }
       // Collect surviving edges (rank > r) among C and per-vertex surviving
       // degrees, as sort keys for an allocation-light sort.
       val ranks = bg.localRank
       val nLoc = bg.nLoc
       val keys = new ArrayBuffer[Long]()
       val survDeg = new Array[Int](nLoc)
+      val row = allocC()
       var a = 0
       while (a < cArr.length) {
         val i = cArr(a)
-        Bits.foreachBit(Bits.andRow(c, surv, i * W)) { j =>
+        Bits.andIntoRow(row, c, surv, i * W)
+        Bits.foreachBit(row) { j =>
           if (j > i) {
             val rr = ranks(i * nLoc + j)
             if (rr > r) {
@@ -362,7 +343,7 @@ object Kernels {
       }
       val edges = keys.toArray
       java.util.Arrays.sort(edges)
-      val cx = new Array[Long](x.length)
+      val cx = allocX()
       Bits.orIntoMixed(cx, x, c)
       var ei = 0
       while (ei < edges.length) {
@@ -370,18 +351,27 @@ object Kernels {
         val cell = keyCell(edges(ei))
         val i = cell / nLoc
         val j = cell % nLoc
-        // A' = (C ∪ X) ∩ N_full(i) ∩ N_full(j); C' ⊆ C requires both cross
-        // edges surviving beyond rank(e).
-        val aNew = Bits.andRow(Bits.andRow(cx, full, i * W), full, j * W)
-        val cNew = new Array[Long](c.length)
-        Bits.foreachBit(Bits.andRow(Bits.andRow(c, surv, i * W), surv, j * W)) { w =>
-          if (ranks(i * nLoc + w) > re && ranks(j * nLoc + w) > re) Bits.set(cNew, w)
+        val cMark = cPos
+        val xMark = xPos
+        // C' ⊆ C ∩ N_surv(i) ∩ N_surv(j) keeps the vertices whose edges to
+        // both i and j survive beyond rank(e); X' = (C ∪ X) ∩ N_full(i) ∩
+        // N_full(j) minus C'.
+        val cNew = allocC()
+        Bits.andIntoRow(cNew, c, surv, i * W)
+        Bits.andIntoRow(cNew, cNew, surv, j * W)
+        Bits.foreachBit(cNew) { w =>
+          if (ranks(i * nLoc + w) <= re || ranks(j * nLoc + w) <= re) Bits.clear(cNew, w)
         }
-        val xNew = Bits.andNotMixed(aNew, cNew)
+        val xNew = allocX()
+        Bits.andIntoRow(xNew, cx, full, i * W)
+        Bits.andIntoRow(xNew, xNew, full, j * W)
+        Bits.andNotInPlace(xNew, cNew)
         buf(len) = bg.globalIds(i); buf(len + 1) = bg.globalIds(j); len += 2
         if (level + 1 <= cfg.edgeDepth) dispatch(cNew, xNew, re, level + 1)
         else handoffToVertex(cNew, xNew, re, level + 1)
         len -= 2
+        cPos = cMark
+        xPos = xMark
         ei += 1
       }
       // Eq. (3): candidates isolated in the surviving graph are singleton

@@ -7,7 +7,7 @@ class DatasetStatsSpec extends SparkSpec {
 
   test("stats of a known small graph") {
     val g = repro.graph.LocalGraph.complete(6)
-    val r = DatasetStats.compute("K6", "complete", g, Some(spark))
+    val r = DatasetStats.compute("K6", "complete", g)
     assert(r.n == 6 && r.m == 15)
     assert(r.delta == 5 && r.tau == 4)
     assert(math.abs(r.rho - 2.5) < 1e-9)
@@ -18,18 +18,9 @@ class DatasetStatsSpec extends SparkSpec {
   test("condition formula evaluates as in the paper") {
     // delta >= max{3, tau + 3 ln(rho)/ln 3}
     val g = repro.graph.LocalGraph.complete(6)
-    val r = DatasetStats.compute("K6", "complete", g, None)
+    val r = DatasetStats.compute("K6", "complete", g)
     val rhs = math.max(3.0, r.tau + 3.0 * math.log(r.rho) / math.log(3.0))
     assert(r.conditionHolds == (r.delta >= rhs))
-  }
-
-  test("DataFrame and driver edge counts agree on one suite dataset") {
-    val cfg = GraphGen.byName("WE")
-    val g = GraphGen.generate(cfg)
-    val viaDf = DatasetStats.compute(cfg.name, cfg.fullName, g, Some(spark))
-    val direct = DatasetStats.compute(cfg.name, cfg.fullName, g, None)
-    assert(viaDf.n == direct.n && viaDf.m == direct.m)
-    assert(viaDf.delta == direct.delta && viaDf.tau == direct.tau)
   }
 
   test("suite stats: tau < delta on every dataset (paper Table I property)") {
@@ -43,7 +34,7 @@ class DatasetStatsSpec extends SparkSpec {
 
   test("suite stats: the complexity condition holds for most datasets") {
     val rows = GraphGen.paperSuite.map { cfg =>
-      DatasetStats.compute(cfg.name, cfg.fullName, GraphGen.generate(cfg), None)
+      DatasetStats.compute(cfg.name, cfg.fullName, GraphGen.generate(cfg))
     }
     val holding = rows.count(_.conditionHolds)
     assert(holding >= rows.size / 2, s"only $holding/${rows.size} hold the condition")

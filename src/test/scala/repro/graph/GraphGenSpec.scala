@@ -4,24 +4,6 @@ import repro.SparkSpec
 
 class GraphGenSpec extends SparkSpec {
 
-  test("er produces the requested number of edges") {
-    val g = GraphGen.er(100, 300, 1)
-    assert(g.n == 100 && g.m == 300)
-  }
-
-  test("er caps at the complete graph") {
-    val g = GraphGen.er(5, 100, 2)
-    assert(g.m == 10)
-  }
-
-  test("er is deterministic in the seed") {
-    val a = GraphGen.er(50, 120, 3).edgePairs.toSeq
-    val b = GraphGen.er(50, 120, 3).edgePairs.toSeq
-    val c = GraphGen.er(50, 120, 4).edgePairs.toSeq
-    assert(a == b)
-    assert(a != c)
-  }
-
   test("ba attaches every new vertex to mPer targets") {
     val g = GraphGen.ba(200, 3, 5)
     assert(g.n == 200)

@@ -1,7 +1,7 @@
 package repro.mce
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{Degeneracy, GraphGen, LocalGraph}
 import scala.util.Random
 
 /** The heart of the correctness story: every production configuration —
@@ -105,6 +105,28 @@ class AlgorithmEquivalenceSpec extends SparkSpec {
       val cfg = GraphGen.DatasetConfig("T", "t", 50, 1, 6, 4, 8, 12, seed + 31)
       check(s"overlap-$seed", GraphGen.generate(cfg))
     }
+
+  // Level-1 rows of more than 128 bits: the only random input here whose
+  // pooled candidate and exclusion sets span several words.
+  test("random BA + planted cliques with two hubs of degree 150 (multi-word sets)") {
+    val cfg = GraphGen.DatasetConfig("H", "h", 220, 2, 12, 4, 8, 0, 41, nHubs = 2, hubDeg = 150)
+    val g = GraphGen.generate(cfg)
+    assert((0 until g.n).map(g.degree).max > 128)
+    check("hubs-41", g)
+  }
+
+  // Level-1 candidate sets of more than 64 vertices, which no other input
+  // here reaches (C ≤ δ for vertex branches): K_{70,70} plus G(70, 0.05)
+  // inside each side, δ > 64.
+  test("complete bipartite K70,70 with sparse sides (multi-word candidate sets)") {
+    val rng = new Random(3)
+    val side = 70
+    val edges = for (i <- 0 until 2 * side; j <- i + 1 until 2 * side
+                     if (i < side) != (j < side) || rng.nextDouble() < 0.05) yield (i, j)
+    val g = LocalGraph.fromEdges(2 * side, edges)
+    assert(Degeneracy.compute(g).delta > 64)
+    check("bipartite-70", g)
+  }
 
   // Regression: deep edge-branching (d >= 2) once re-used candidate pairs
   // consumed at level 2 when handing off to the vertex phase (duplicate

@@ -64,17 +64,22 @@ class BitsSpec extends SparkSpec {
       val a = bits(n, sa)
       // b as row 2 of a 3-row matrix, the layout the kernels read
       val flat = flatWithRow(3, w, 2, sb)
-      assert(Bits.toArray(Bits.andRow(a, flat, 2 * w)).toSet == sa.intersect(sb))
-      assert(Bits.toArray(Bits.andNotRow(a, flat, 2 * w)).toSet == sa.diff(sb))
+      val and = make(n); Bits.andIntoRow(and, a, flat, 2 * w)
+      assert(Bits.toArray(and).toSet == sa.intersect(sb))
+      val andNot = make(n); Bits.andNotIntoRow(andNot, a, flat, 2 * w)
+      assert(Bits.toArray(andNot).toSet == sa.diff(sb))
       assert(Bits.countAndRow(a, flat, 2 * w) == sa.intersect(sb).size)
+      // dest may be the set operand itself
+      val inPlace = bits(n, sa); Bits.andIntoRow(inPlace, inPlace, flat, 2 * w)
+      assert(Bits.toArray(inPlace).toSet == sa.intersect(sb))
       // the mixed variants take a shorter second operand (missing words = 0)
       val m = 1 + rng.nextInt(n)
       val sc = sb.filter(_ < m)
       val c = bits(m, sc)
       val or = make(n); Bits.orIntoMixed(or, a, c)
       assert(Bits.toArray(or).toSet == sa.union(sc))
-      assert(Bits.toArray(Bits.andNotMixed(a, c)).toSet == sa.diff(sc))
-      assert(Bits.andNotMixed(a, c).length == a.length)
+      Bits.andNotInPlace(or, c)
+      assert(Bits.toArray(or).toSet == sa.diff(sc))
     }
 
   test("mixXInto computes (x∩full) ∪ (c∩full∖surv)") {
@@ -91,12 +96,5 @@ class BitsSpec extends SparkSpec {
     Bits.mixXIntoRow(dest, bits(n, sx), bits(100, sc), fullFlat, survFlat, w)
     val expect = sx.intersect(sfull).union(sc.intersect(sfull).diff(ssurv))
     assert(Bits.toArray(dest).toSet == expect)
-  }
-
-  test("copy is independent") {
-    val a = make(70); Bits.set(a, 5)
-    val b = Bits.copy(a)
-    Bits.set(b, 6)
-    assert(!has(a, 6) && has(b, 5))
   }
 }

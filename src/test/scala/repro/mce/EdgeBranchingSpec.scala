@@ -116,7 +116,16 @@ class EdgeBranchingSpec extends SparkSpec {
       "EBBMC" -> (MceConfig.ebbmc, 6611L, 157L),
       "Ref++" -> (MceConfig.refPP, 2008L, 172L),
       "Rcd++" -> (MceConfig.rcdPP, 1864L, 133L),
-      "Fac++" -> (MceConfig.facPP, 3400L, 169L))
+      "Fac++" -> (MceConfig.facPP, 3400L, 169L),
+      "HBBMC++" -> (MceConfig.hbbmcPP, 2012L, 169L),
+      "HBBMC+" -> (MceConfig.hbbmcP, 2275L, 0L),
+      "RRef" -> (MceConfig.rRef, 1863L, 0L),
+      "RDegen" -> (MceConfig.rDegen, 1865L, 0L),
+      "RRcd" -> (MceConfig.rRcd, 1244L, 0L),
+      "RFac" -> (MceConfig.rFac, 2406L, 0L),
+      "VBBMC-dgn" -> (MceConfig.vbbmcDgn, 1257L, 244L),
+      "HBBMC-dgn" -> (MceConfig.hbbmcDgn, 1981L, 169L),
+      "HBBMC-mdg" -> (MceConfig.hbbmcMdg, 1959L, 179L))
     want.foreach { case (name, (cfg, calls, et)) =>
       val (cliques, s) = Engine.collectLocal(g, cfg)
       assert(cliques.size == 1040 && s.cliques == 1040, name)
