@@ -16,10 +16,6 @@ import repro.mce._
   */
 object BenchTables {
 
-  private val nullSink: CliqueSink = new CliqueSink {
-    override def emit(vertices: Array[Int], len: Int): Unit = ()
-  }
-
   /** Dataset cache — generation is deterministic, so share across suites. */
   private val cache = new scala.collection.mutable.LinkedHashMap[String, LocalGraph]()
 
@@ -35,7 +31,7 @@ object BenchTables {
   def timed(g: LocalGraph, cfg: MceConfig): RunResult = {
     System.gc() // isolate runs from each other's garbage
     val t0 = System.nanoTime()
-    val stats = Engine.runLocal(g, cfg, nullSink)
+    val stats = Engine.runLocal(g, cfg, CliqueSink.discard)
     val t1 = System.nanoTime()
     RunResult((t1 - t0) / 1e6, stats)
   }

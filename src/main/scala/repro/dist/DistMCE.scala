@@ -19,14 +19,12 @@ import scala.reflect.ClassTag
   */
 object DistMCE {
 
-  private val discard: CliqueSink = (_, _) => ()
-
   /** Count-only distributed run: returns merged statistics. */
   def run(spark: SparkSession, g: LocalGraph, cfg: MceConfig,
           parallelism: Int = 0): MceStats = {
     val prep = Engine.prepare(g, cfg)
-    val direct = Engine.emitDirect(prep, discard)
-    solvePartitions(spark, prep, parallelism)(Engine.solveUnits(_, _, discard))
+    val direct = Engine.emitDirect(prep, CliqueSink.discard)
+    solvePartitions(spark, prep, parallelism)(Engine.solveUnits(_, _, CliqueSink.discard))
       .collect()
       .foldLeft(direct)(_ merge _)
   }

@@ -224,7 +224,9 @@ object BranchGraph {
     * may be used again. Returns `rows` itself when no pair inside `c` that
     * is adjacent in `rows` has rank ≤ r (`ranks` is row-major, stride
     * `nLoc`); otherwise a fresh matrix holding `c`'s rows of `rows` with
-    * exactly those pairs cleared (all other rows empty).
+    * exactly those pairs cleared (all other rows empty). Its callers are
+    * [[AnchorContext.branch]], for a level-1 branch, and every edge step of
+    * `Kernels.edgeRec`, for the step's child.
     */
   def dropConsumed(rows: Array[Long], nLoc: Int, words: Int, c: Array[Long],
                    ranks: Array[Int], r: Int): Array[Long] = {

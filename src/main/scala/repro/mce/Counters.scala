@@ -36,13 +36,14 @@ final case class MceStats(
   )
 }
 
-object MceStats {
-  val zero: MceStats = MceStats(0L, 0L, 0, 0L, 0L, 0L, 0L)
-}
-
 /** Receives maximal cliques as (buffer, length) — implementations must copy. */
 trait CliqueSink {
   def emit(vertices: Array[Int], len: Int): Unit
+}
+
+object CliqueSink {
+  /** Drops every clique, for runs that need only the statistics. */
+  val discard: CliqueSink = (_, _) => ()
 }
 
 /** Count-only sink for benchmarks. */

@@ -29,11 +29,9 @@ object EarlyTermination {
     val cArr = Bits.toArray(c)
     val nC = cArr.length
     if (nC == 0) { sink.emit(buf, prefixLen); return }
-    // The level-1 rows suffice even inside a hand-off subtree, whose
-    // kernels run on rows with deeper consumed pairs dropped: under the
-    // precondition no consumed pair lies inside C, so both equal the full
-    // rows there.
-    val surv = bg.survFlat
+    // Under the precondition no consumed pair lies inside C, so the rows in
+    // force equal the full rows there.
+    val full = bg.fullFlat
     val W = bg.words
     // Complement adjacency (≤ 2 per vertex for a 3-plex), positions into cArr.
     val nbr1 = Array.fill(nC)(-1)
@@ -42,7 +40,7 @@ object EarlyTermination {
     while (i < nC) {
       var j = i + 1
       while (j < nC) {
-        if (!Bits.getRow(surv, cArr(i) * W, cArr(j))) {
+        if (!Bits.getRow(full, cArr(i) * W, cArr(j))) {
           if (nbr1(i) == -1) nbr1(i) = j
           else { require(nbr2(i) == -1, "complement degree > 2 — not a 3-plex"); nbr2(i) = j }
           if (nbr1(j) == -1) nbr1(j) = i

@@ -21,16 +21,16 @@ import scala.collection.mutable.ArrayBuffer
   *    produce fewer branches.
   *
   * Edge-oriented branching below level 1 (`edgeRec`) implements EBBMC's
-  * recursive step (Algorithm 3 lines 7–12) via the rank-threshold
-  * formulation of DESIGN.md §4; it is used for the paper's Table IV
-  * (d ≥ 2) and for pure EBBMC.
+  * recursive step (Algorithm 3 lines 7–12); it is used for the paper's
+  * Table IV (d ≥ 2) and for pure EBBMC.
   *
   * Every kernel call opens with the same prologue (`Solver.open`), and early
   * termination (Section IV) hooks in there: the t-plex condition is checked
   * during the degree scan that pivot selection needs anyway, as the paper
-  * prescribes. A `clean` flag records that no consumed (deleted) pair can
-  * exist inside C — once true it is inherited by every descendant, so
-  * dual-graph checks are skipped.
+  * prescribes. The pairs that may still be used inside C are recorded once,
+  * in the `Solver`'s rows in force (DESIGN.md §4). When the scan finds no
+  * consumed pair inside C, those rows become the full rows for the whole
+  * subtree, and every dual-graph check there is skipped.
   */
 object Kernels {
 
@@ -57,7 +57,7 @@ object Kernels {
     var i = 0
     while (i < sPrefix.length) { solver.buf(i) = sPrefix(i); i += 1 }
     solver.len = sPrefix.length
-    solver.dispatch(c, x, Int.MinValue, level)
+    solver.dispatch(c, x, level)
   }
 
   /** Sort key of the candidate pair (i, j) of rank `rank` in an anchor of
@@ -81,13 +81,19 @@ object Kernels {
     * returns, which also frees whatever the child took. No kernel allocates
     * a bitset per call (per-call allocation otherwise throttles 16-way
     * Spark execution with GC).
+    *
+    * `surv` is the one record of the pairs that may still be used: inside
+    * the current C it holds exactly the pairs not yet consumed. Two places
+    * swap it, and each restores the caller's rows when its subtree returns:
+    * `scan` swaps in the full rows when no consumed pair lies inside C
+    * (`vertexRec` restores), and every edge step of `edgeRec` swaps in its
+    * child's rows with the pairs it consumes dropped.
     */
   private final class Solver(bg: BranchGraph, cfg: KernelConfig, counters: Counters, sink: CliqueSink,
                              cLen: Int, xLen: Int) {
     val buf = new Array[Int](bg.nLoc + 8)
     var len = 0
-    // The surviving rows in force: the level-1 rows, or while a hand-off
-    // subtree runs, those rows with the deeper consumed pairs dropped.
+    // The rows in force; `surv eq full` means no consumed pair lies inside C.
     private var surv = bg.survFlat
     private val full = bg.fullFlat
     private val W = bg.words
@@ -105,45 +111,57 @@ object Kernels {
       val a = xPool.get(xPos); xPos += 1; a
     }
 
-    def dispatch(c: Array[Long], x: Array[Long], r: Int, level: Int): Unit =
-      if (level <= cfg.edgeDepth && bg.localRank != null) edgeRec(c, x, r, level)
-      else vertexRec(c, x, surv eq full)
+    /** Branch on edges while `level` is within the edge depth, on vertices
+      * after it.
+      */
+    def dispatch(c: Array[Long], x: Array[Long], level: Int): Unit =
+      if (level <= cfg.edgeDepth && bg.localRank != null) edgeRec(c, x, level)
+      else vertexRec(c, x)
 
-    private def vertexRec(c: Array[Long], x: Array[Long], clean: Boolean): Unit = cfg.variant match {
-      case Pivot => pivotRec(c, x, refMode = false, clean)
-      case Ref   => pivotRec(c, x, refMode = true, clean)
-      case Rcd   => rcdRec(c, x, clean)
-      case Fac   => facRec(c, x, clean)
+    /** Run the configured vertex variant; restore the rows in force, which
+      * its scans may have swapped for the full rows.
+      */
+    private def vertexRec(c: Array[Long], x: Array[Long]): Unit = {
+      val saved = surv
+      cfg.variant match {
+        case Pivot => pivotRec(c, x, refMode = false)
+        case Ref   => pivotRec(c, x, refMode = true)
+        case Rcd   => rcdRec(c, x)
+        case Fac   => facRec(c, x)
+      }
+      // Store only on a change: a reference store into the long-lived
+      // Solver costs a GC write barrier on every call.
+      if (surv ne saved) surv = saved
     }
 
     /** The prologue of every kernel call: count the call and emit S when
       * C = X = ∅; when `scans`, run the degree `scan` and the t-plex exit.
       * Returns |C|, or -1 when the branch is done.
       */
-    private def open(c: Array[Long], x: Array[Long], clean: Boolean, scans: Boolean): Int = {
+    private def open(c: Array[Long], x: Array[Long], scans: Boolean): Int = {
       counters.calls += 1
       val cSize = Bits.count(c)
       if (cSize == 0) {
         if (Bits.isEmpty(x)) emit()
         -1
-      } else if (scans && { scan(c, clean); plexDone(c, cSize, x) }) -1
+      } else if (scans && { scan(c); plexDone(c, cSize, x) }) -1
       else cSize
     }
 
     /** The one vertex step: recurse into the child of candidate `v` —
-      * C ∩ N_surv(v), and X ∩ N_full(v) plus, unless `clean`, the candidates
-      * whose pair with v is consumed — then move v from C to X.
+      * C ∩ N_surv(v), and X ∩ N_full(v) plus, unless `surv eq full`, the
+      * candidates whose pair with v is consumed — then move v from C to X.
       */
-    private def take(v: Int, c: Array[Long], x: Array[Long], clean: Boolean): Unit = {
+    private def take(v: Int, c: Array[Long], x: Array[Long]): Unit = {
       val cMark = cPos
       val xMark = xPos
       val cN = allocC()
       val xN = allocX()
       Bits.andIntoRow(cN, c, surv, v * W)
-      if (clean) Bits.andIntoRow(xN, x, full, v * W)
+      if (surv eq full) Bits.andIntoRow(xN, x, full, v * W)
       else Bits.mixXIntoRow(xN, x, c, full, surv, v * W)
       buf(len) = bg.globalIds(v); len += 1
-      vertexRec(cN, xN, clean)
+      vertexRec(cN, xN)
       len -= 1
       cPos = cMark
       xPos = xMark
@@ -162,20 +180,21 @@ object Kernels {
 
     // Results of the last `scan`, read by the caller before it recurses: the
     // minimum and maximum surviving degree inside C and a vertex attaining
-    // each, and whether no consumed pair lies inside C.
+    // each.
     private var minD = 0
     private var minV = -1
     private var maxD = 0
     private var maxV = -1
-    private var noDeleted = true
 
     /** The degree scan that pivot selection needs anyway; the t-plex check
-      * of early termination rides on it. In a `clean` branch no consumed pair
-      * can lie inside C, so the dual full-row count is skipped.
+      * of early termination rides on it. Unless `surv eq full` already, it
+      * also counts full degrees, and when they all match (no consumed pair
+      * inside C) it swaps in the full rows for the subtree.
       */
-    private def scan(c: Array[Long], clean: Boolean): Unit = {
+    private def scan(c: Array[Long]): Unit = {
       // Locals and a plain bit loop keep the hot scan free of closures; the
       // fields are written once at the end.
+      val dual = surv ne full
       var lo = Int.MaxValue; var loV = -1; var hi = -1; var hiV = -1; var noDel = true
       var i = 0
       while (i < c.length) {
@@ -183,14 +202,15 @@ object Kernels {
         while (word != 0L) {
           val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
           val ds = Bits.countAndRow(c, surv, v * W)
-          if (!clean && Bits.countAndRow(c, full, v * W) != ds) noDel = false
+          if (dual && noDel && Bits.countAndRow(c, full, v * W) != ds) noDel = false
           if (ds < lo) { lo = ds; loV = v }
           if (ds > hi) { hi = ds; hiV = v }
           word &= word - 1
         }
         i += 1
       }
-      minD = lo; minV = loV; maxD = hi; maxV = hiV; noDeleted = noDel
+      minD = lo; minV = loV; maxD = hi; maxV = hiV
+      if (dual && noDel) surv = full
     }
 
     /** After a `scan` of C (|C| = `cSize`): count a t-plex branch (the
@@ -199,7 +219,7 @@ object Kernels {
       * Returns true when the branch is done.
       */
     private def plexDone(c: Array[Long], cSize: Int, x: Array[Long]): Boolean =
-      if (cfg.etT >= 1 && noDeleted && minD >= cSize - cfg.etT) {
+      if (cfg.etT >= 1 && (surv eq full) && minD >= cSize - cfg.etT) {
         counters.plexBranches += 1
         if (Bits.isEmpty(x)) {
           counters.etApplied += 1
@@ -211,13 +231,12 @@ object Kernels {
 
     // ---------------------------------------------------------------- pivot
 
-    private def pivotRec(c: Array[Long], x: Array[Long], refMode: Boolean, clean: Boolean): Unit = {
-      val cSize = open(c, x, clean, scans = true)
+    private def pivotRec(c: Array[Long], x: Array[Long], refMode: Boolean): Unit = {
+      val cSize = open(c, x, scans = true)
       if (cSize < 0) return
       var pivot = maxV
       var pivotCnt = maxD
       var pivotFromX = false
-      val childClean = clean || noDeleted
       if (!Bits.isEmpty(x)) {
         Bits.foreachBit(x) { xv =>
           val cnt = Bits.countAndRow(c, full, xv * W)
@@ -231,20 +250,18 @@ object Kernels {
       }
       val branchSet = allocC()
       Bits.andNotIntoRow(branchSet, c, if (pivotFromX) full else surv, pivot * W)
-      Bits.foreachBit(branchSet) { v => take(v, c, x, childClean) }
+      Bits.foreachBit(branchSet) { v => take(v, c, x) }
     }
 
     // ------------------------------------------------------------------ rcd
 
-    private def rcdRec(c: Array[Long], x: Array[Long], clean0: Boolean): Unit = {
-      var cSize = open(c, x, clean0, scans = true)
+    private def rcdRec(c: Array[Long], x: Array[Long]): Unit = {
+      var cSize = open(c, x, scans = true)
       if (cSize < 0) return
-      var clean = clean0 || noDeleted
       while (minD < cSize - 1) {
-        take(minV, c, x, clean)
+        take(minV, c, x)
         cSize -= 1
-        scan(c, clean)
-        clean = clean || noDeleted
+        scan(c)
         if (plexDone(c, cSize, x)) return
       }
       // C is a clique (then necessarily no deleted pair): the single
@@ -259,10 +276,8 @@ object Kernels {
 
     // ------------------------------------------------------------------ fac
 
-    private def facRec(c: Array[Long], x: Array[Long], clean0: Boolean): Unit = {
-      val scans = cfg.etT >= 1
-      if (open(c, x, clean0, scans) < 0) return
-      val clean = clean0 || (scans && noDeleted)
+    private def facRec(c: Array[Long], x: Array[Long]): Unit = {
+      if (open(c, x, scans = cfg.etT >= 1) < 0) return
       // p: the branches the current pivot leaves; q: those u would leave.
       var p = allocC()
       var q = allocC()
@@ -270,7 +285,7 @@ object Kernels {
       var pCount = Bits.count(p)
       while (pCount > 0) {
         val u = Bits.first(p)
-        take(u, c, x, clean)
+        take(u, c, x)
         Bits.clear(p, u); pCount -= 1
         // Alg. 10 lines 15–17: adopt u as pivot if it prunes harder. u is in
         // X now, so its pruning set uses full adjacency.
@@ -280,71 +295,32 @@ object Kernels {
       }
     }
 
-    /** Hand a branch from the edge phase to the vertex phase. The surviving
-      * rows are thresholded at the LEVEL-1 rank; pairs consumed at deeper
-      * edge levels (rank in (r0, re]) must not be usable by the vertex
-      * kernels, or their cliques would be enumerated twice. So the subtree
-      * runs on the rows with every pair of rank ≤ `re` inside C dropped.
-      */
-    private def handoffToVertex(cN: Array[Long], xN: Array[Long], re: Int, level: Int): Unit = {
-      val saved = surv
-      surv = BranchGraph.dropConsumed(saved, bg.nLoc, W, cN, bg.localRank, re)
-      dispatch(cN, xN, re, level)
-      surv = saved
-    }
-
     // ----------------------------------------------------- edge recursion
 
-    /** EBBMC's recursive step: branch on surviving edges (rank > r) of the
-      * candidate graph in global-ordering order, then on isolated candidates
-      * (Eq. 3). `level` grows by one per edge level; once it exceeds
-      * `cfg.edgeDepth` the vertex-oriented variant takes over.
+    /** EBBMC's recursive step: branch on the usable pairs of C (the bits of
+      * `surv` inside C) in global-ordering order, then on isolated candidates
+      * (Eq. 3). Each edge step runs its child on the rows in force with the
+      * pairs it consumes dropped (Alg. 3's E₊ sets). `level` grows by one per
+      * edge level; once it exceeds `cfg.edgeDepth` the vertex-oriented
+      * variant takes over.
       */
-    private def edgeRec(c: Array[Long], x: Array[Long], r: Int, level: Int): Unit = {
-      if (open(c, x, clean = false, scans = false) < 0) return
-      val cArr = Bits.toArray(c)
-      // Collect surviving edges (rank > r) among C and per-vertex surviving
-      // degrees, as sort keys for an allocation-light sort.
+    private def edgeRec(c: Array[Long], x: Array[Long], level: Int): Unit = {
+      if (open(c, x, scans = cfg.etT >= 1) < 0) return
+      // Collect the usable pairs inside C as sort keys for an
+      // allocation-light sort.
       val ranks = bg.localRank
       val nLoc = bg.nLoc
       val keys = new ArrayBuffer[Long]()
-      val survDeg = new Array[Int](nLoc)
       val row = allocC()
-      var a = 0
-      while (a < cArr.length) {
-        val i = cArr(a)
+      Bits.foreachBit(c) { i =>
         Bits.andIntoRow(row, c, surv, i * W)
-        Bits.foreachBit(row) { j =>
-          if (j > i) {
-            val rr = ranks(i * nLoc + j)
-            if (rr > r) {
-              keys += pairKey(rr, i, j, nLoc)
-              survDeg(i) += 1; survDeg(j) += 1
-            }
-          }
-        }
-        a += 1
-      }
-      // The t-plex exit of the vertex kernels, on the degrees above r: no
-      // consumed pair may lie inside C, i.e. every full edge in C survives.
-      if (cfg.etT >= 1) {
-        var lo = Int.MaxValue
-        var noDel = true
-        var k = 0
-        while (k < cArr.length) {
-          val v = cArr(k)
-          val ds = survDeg(v)
-          if (noDel && Bits.countAndRow(c, full, v * W) != ds) noDel = false
-          if (ds < lo) lo = ds
-          k += 1
-        }
-        minD = lo; noDeleted = noDel
-        if (plexDone(c, cArr.length, x)) return
+        Bits.foreachBit(row) { j => if (j > i) keys += pairKey(ranks(i * nLoc + j), i, j, nLoc) }
       }
       val edges = keys.toArray
       java.util.Arrays.sort(edges)
       val cx = allocX()
       Bits.orIntoMixed(cx, x, c)
+      val rows = surv
       var ei = 0
       while (ei < edges.length) {
         val re = keyRank(edges(ei))
@@ -354,11 +330,11 @@ object Kernels {
         val cMark = cPos
         val xMark = xPos
         // C' ⊆ C ∩ N_surv(i) ∩ N_surv(j) keeps the vertices whose edges to
-        // both i and j survive beyond rank(e); X' = (C ∪ X) ∩ N_full(i) ∩
-        // N_full(j) minus C'.
+        // both i and j rank after e; X' = (C ∪ X) ∩ N_full(i) ∩ N_full(j)
+        // minus C'.
         val cNew = allocC()
-        Bits.andIntoRow(cNew, c, surv, i * W)
-        Bits.andIntoRow(cNew, cNew, surv, j * W)
+        Bits.andIntoRow(cNew, c, rows, i * W)
+        Bits.andIntoRow(cNew, cNew, rows, j * W)
         Bits.foreachBit(cNew) { w =>
           if (ranks(i * nLoc + w) <= re || ranks(j * nLoc + w) <= re) Bits.clear(cNew, w)
         }
@@ -367,8 +343,9 @@ object Kernels {
         Bits.andIntoRow(xNew, xNew, full, j * W)
         Bits.andNotInPlace(xNew, cNew)
         buf(len) = bg.globalIds(i); buf(len + 1) = bg.globalIds(j); len += 2
-        if (level + 1 <= cfg.edgeDepth) dispatch(cNew, xNew, re, level + 1)
-        else handoffToVertex(cNew, xNew, re, level + 1)
+        surv = BranchGraph.dropConsumed(rows, nLoc, W, cNew, ranks, re)
+        dispatch(cNew, xNew, level + 1)
+        surv = rows
         len -= 2
         cPos = cMark
         xPos = xMark
@@ -376,15 +353,12 @@ object Kernels {
       }
       // Eq. (3): candidates isolated in the surviving graph are singleton
       // extensions; maximal iff nothing in C ∪ X is (fully) adjacent to them.
-      a = 0
-      while (a < cArr.length) {
-        val v = cArr(a)
-        if (survDeg(v) == 0 && Bits.countAndRow(cx, full, v * W) == 0) {
+      Bits.foreachBit(c) { v =>
+        if (Bits.countAndRow(c, surv, v * W) == 0 && Bits.countAndRow(cx, full, v * W) == 0) {
           buf(len) = bg.globalIds(v); len += 1
           emit()
           len -= 1
         }
-        a += 1
       }
     }
   }

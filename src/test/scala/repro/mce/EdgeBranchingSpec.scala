@@ -109,28 +109,52 @@ class EdgeBranchingSpec extends SparkSpec {
 
   test("#Calls, ET hits and cliques of the edge-depth and inner-variant configs are pinned") {
     val g = GraphGen.generate(GraphGen.DatasetConfig("T", "t", 400, 3, 25, 5, 12, 0, 271))
-    // (#Calls, ET applications b0), all with 1,040 maximal cliques
+    // (#Calls, t-plex branches b, ET applications b0), all with 1,040
+    // maximal cliques
     val want = Seq(
-      "d=2" -> (MceConfig.hbbmcDepth(2), 4202L, 157L),
-      "d=3" -> (MceConfig.hbbmcDepth(3), 6193L, 157L),
-      "EBBMC" -> (MceConfig.ebbmc, 6611L, 157L),
-      "Ref++" -> (MceConfig.refPP, 2008L, 172L),
-      "Rcd++" -> (MceConfig.rcdPP, 1864L, 133L),
-      "Fac++" -> (MceConfig.facPP, 3400L, 169L),
-      "HBBMC++" -> (MceConfig.hbbmcPP, 2012L, 169L),
-      "HBBMC+" -> (MceConfig.hbbmcP, 2275L, 0L),
-      "RRef" -> (MceConfig.rRef, 1863L, 0L),
-      "RDegen" -> (MceConfig.rDegen, 1865L, 0L),
-      "RRcd" -> (MceConfig.rRcd, 1244L, 0L),
-      "RFac" -> (MceConfig.rFac, 2406L, 0L),
-      "VBBMC-dgn" -> (MceConfig.vbbmcDgn, 1257L, 244L),
-      "HBBMC-dgn" -> (MceConfig.hbbmcDgn, 1981L, 169L),
-      "HBBMC-mdg" -> (MceConfig.hbbmcMdg, 1959L, 179L))
-    want.foreach { case (name, (cfg, calls, et)) =>
+      "d=2" -> (MceConfig.hbbmcDepth(2), 4202L, 2112L, 157L),
+      "d=3" -> (MceConfig.hbbmcDepth(3), 6193L, 2892L, 157L),
+      "EBBMC" -> (MceConfig.ebbmc, 6611L, 2972L, 157L),
+      "Ref++" -> (MceConfig.refPP, 2008L, 824L, 172L),
+      "Rcd++" -> (MceConfig.rcdPP, 1864L, 783L, 133L),
+      "Fac++" -> (MceConfig.facPP, 3400L, 1705L, 169L),
+      "HBBMC++" -> (MceConfig.hbbmcPP, 2012L, 825L, 169L),
+      "HBBMC+" -> (MceConfig.hbbmcP, 2275L, 0L, 0L),
+      "RRef" -> (MceConfig.rRef, 1863L, 0L, 0L),
+      "RDegen" -> (MceConfig.rDegen, 1865L, 0L, 0L),
+      "RRcd" -> (MceConfig.rRcd, 1244L, 0L, 0L),
+      "RFac" -> (MceConfig.rFac, 2406L, 0L, 0L),
+      "VBBMC-dgn" -> (MceConfig.vbbmcDgn, 1257L, 389L, 244L),
+      "HBBMC-dgn" -> (MceConfig.hbbmcDgn, 1981L, 763L, 169L),
+      "HBBMC-mdg" -> (MceConfig.hbbmcMdg, 1959L, 755L, 179L))
+    want.foreach { case (name, (cfg, calls, b, et)) =>
       val (cliques, s) = Engine.collectLocal(g, cfg)
       assert(cliques.size == 1040 && s.cliques == 1040, name)
       assert(s.calls == calls, s"$name #Calls")
+      assert(s.plexBranches == b, s"$name t-plex branches")
       assert(s.etApplied == et, s"$name ET applications")
     }
+  }
+
+  test("HBBMC++ at edge depths 1, 2 and 3 and EBBMC emit RDegen's cliques on NA, each once") {
+    // The rows in force inside C must hold exactly the unconsumed pairs.
+    // Two slips that the small differential graphs miss repeat cliques here:
+    // an edge step at level 2 or deeper that leaves its consumed pairs
+    // usable (d=2 emits 17,836 cliques, not 17,835), and a vertex kernel
+    // that hands a clean child's full rows back to its parent (HBBMC++).
+    val g = GraphGen.generate(GraphGen.byName("NA"))
+    val (want, _) = Engine.collectLocal(g, MceConfig.rDegen)
+    Seq("HBBMC++" -> MceConfig.hbbmcPP, "d=2" -> MceConfig.hbbmcDepth(2),
+      "d=3" -> MceConfig.hbbmcDepth(3), "EBBMC" -> MceConfig.ebbmc)
+      .foreach { case (name, cfg) =>
+        val (got, s) = Engine.collectLocal(g, cfg)
+        val duplicates = got.size - got.distinct.size
+        assert(duplicates == 0, s"$name emitted $duplicates duplicate cliques")
+        val extra = got.diff(want)
+        val missing = want.diff(got)
+        assert(extra.isEmpty && missing.isEmpty,
+          s"$name: got ${got.size} cliques, want ${want.size}; extra ${extra.take(3)}, missing ${missing.take(3)}")
+        assert(s.cliques == want.size.toLong, s"$name clique count")
+      }
   }
 }
