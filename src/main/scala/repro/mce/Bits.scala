@@ -53,14 +53,6 @@ object Bits {
     }
   }
 
-  /** Collect set bits into an array. */
-  def toArray(a: Array[Long]): Array[Int] = {
-    val out = new Array[Int](count(a))
-    var k = 0
-    foreachBit(a) { b => out(k) = b; k += 1 }
-    out
-  }
-
   // ---- row variants: the second operand lives at `off` inside a flat
   // row-major matrix (BranchGraph stores adjacency this way so a branch
   // costs two allocations instead of one per vertex).
@@ -78,6 +70,24 @@ object Bits {
     var c = 0; var i = 0
     while (i < set.length) { c += java.lang.Long.bitCount(set(i) & flat(off + i)); i += 1 }
     c
+  }
+
+  /** Number of bits of set & ~row. */
+  def countAndNotRow(set: Array[Long], flat: Array[Long], off: Int): Int = {
+    var c = 0; var i = 0
+    while (i < set.length) { c += java.lang.Long.bitCount(set(i) & ~flat(off + i)); i += 1 }
+    c
+  }
+
+  /** First set bit of set & ~row, or -1. */
+  def firstAndNotRow(set: Array[Long], flat: Array[Long], off: Int): Int = {
+    var i = 0
+    while (i < set.length) {
+      val w = set(i) & ~flat(off + i)
+      if (w != 0L) return (i << 6) + java.lang.Long.numberOfTrailingZeros(w)
+      i += 1
+    }
+    -1
   }
 
   /** dest = set & row; dest may be `set` itself. */

@@ -25,7 +25,7 @@ object Level1 {
   *
   * @param edgeDepth number of edge-oriented branching levels (the paper's d;
   *                  level-1 is depth 1). 0 for vertex-oriented level-1.
-  * @param etT       early-termination t-plex parameter (0 = off)
+  * @param etT       early-termination t-plex parameter t, 0 to 3 (0 = off)
   * @param gr        graph reduction preprocessing
   */
 final case class MceConfig(
@@ -35,6 +35,7 @@ final case class MceConfig(
     etT: Int = 0,
     gr: Boolean = true
 ) extends Serializable {
+  require(0 <= etT && etT <= 3, s"etT = $etT: early termination needs a t-plex with 0 <= t <= 3")
   def kernelConfig: Kernels.KernelConfig = Kernels.KernelConfig(inner, etT, edgeDepth)
 }
 

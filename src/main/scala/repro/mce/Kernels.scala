@@ -1,7 +1,5 @@
 package repro.mce
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Branch-local enumeration kernels.
   *
   * A level-1 branch (one edge or one vertex of the ordered initial split)
@@ -25,12 +23,12 @@ import scala.collection.mutable.ArrayBuffer
   * Table IV (d ≥ 2) and for pure EBBMC.
   *
   * Every kernel call opens with the same prologue (`Solver.open`), and early
-  * termination (Section IV) hooks in there: the t-plex condition is checked
-  * during the degree scan that pivot selection needs anyway, as the paper
-  * prescribes. The pairs that may still be used inside C are recorded once,
-  * in the `Solver`'s rows in force (DESIGN.md §4). When the scan finds no
-  * consumed pair inside C, those rows become the full rows for the whole
-  * subtree, and every dual-graph check there is skipped.
+  * termination (Section IV, `Solver.terminate`) hooks in there: the t-plex
+  * condition is checked during the degree scan that pivot selection needs
+  * anyway, as the paper prescribes. The pairs that may still be used inside
+  * C are recorded once, in the `Solver`'s rows in force (DESIGN.md §4).
+  * When the scan finds no consumed pair inside C, those rows become the full
+  * rows for the whole subtree, and every dual-graph check there is skipped.
   */
 object Kernels {
 
@@ -80,7 +78,9 @@ object Kernels {
     * next free slots for its child and rewinds both pools when the child
     * returns, which also frees whatever the child took. No kernel allocates
     * a bitset per call (per-call allocation otherwise throttles 16-way
-    * Spark execution with GC).
+    * Spark execution with GC). Early termination takes its endpoint set
+    * from the same pool and lays out its complement walks in two int
+    * arrays that grow to the largest C.
     *
     * `surv` is the one record of the pairs that may still be used: inside
     * the current C it holds exactly the pairs not yet consumed. Two places
@@ -214,20 +214,144 @@ object Kernels {
     }
 
     /** After a `scan` of C (|C| = `cSize`): count a t-plex branch (the
-      * paper's b) and, when X is empty, solve it by early termination — a
-      * 1-plex (clique) inline, real 2-/3-plexes by the complement machinery.
-      * Returns true when the branch is done.
+      * paper's b) and, when X is empty, solve it by early termination
+      * (`terminate`). Returns true when the branch is done.
       */
     private def plexDone(c: Array[Long], cSize: Int, x: Array[Long]): Boolean =
       if (cfg.etT >= 1 && (surv eq full) && minD >= cSize - cfg.etT) {
         counters.plexBranches += 1
         if (Bits.isEmpty(x)) {
           counters.etApplied += 1
-          if (minD == cSize - 1) emitWith(c)
-          else EarlyTermination.enumerate(bg, c, buf, len, sink)
+          terminate(c, cSize)
           true
         } else false
       } else false
+
+    // ---------------------------------------------------- early termination
+
+    // The complement components of the last `terminate`, laid out by their
+    // walks: the global ids of component k are etVerts[etStart(k),
+    // etStart(k + 1)); the first `etPaths` components are paths, the rest
+    // cycles. Both arrays grow to the largest C and are reused.
+    private var etVerts = Array.emptyIntArray
+    private var etStart = Array.emptyIntArray
+    private var etPaths = 0
+    private var etComps = 0
+
+    /** Early termination (Section IV, Alg. 5–8) of a t-plex C (t ≤ 3, from
+      * `plexDone`: X = ∅ and no consumed pair inside C, so the full rows are
+      * the rows in force there). The complement of g_C has maximum degree
+      * 2, so it splits into isolated vertices F, simple paths and simple
+      * cycles, and the maximal cliques are S ∪ F plus one maximal
+      * independent set of each path and each cycle. Each vertex's
+      * complement is read a word at a time, as `c & ~full(v)`. Consumes `c`,
+      * which no caller reads again.
+      */
+    private def terminate(c: Array[Long], cSize: Int): Unit = {
+      if (minD == cSize - 1) { emitWith(c); return }
+      val save = len
+      val cMark = cPos
+      // One pass over C: F goes onto the clique and leaves C; the path
+      // endpoints (complement degree 1) are marked in `ends`.
+      val ends = allocC()
+      java.util.Arrays.fill(ends, 0L)
+      var i = 0
+      while (i < c.length) {
+        var word = c(i)
+        while (word != 0L) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+          word &= word - 1
+          // v itself is in C and not in its own row
+          val d = Bits.countAndNotRow(c, full, v * W) - 1
+          require(d <= 2, s"complement degree $d > 2 — not a 3-plex")
+          if (d == 0) { buf(len) = bg.globalIds(v); len += 1; Bits.clear(c, v) }
+          else if (d == 1) Bits.set(ends, v)
+        }
+        i += 1
+      }
+      if (etVerts.length < cSize) { etVerts = new Array[Int](cSize); etStart = new Array[Int](cSize + 1) }
+      // Walk every path from its lower endpoint, then every cycle from its
+      // lowest vertex; each walk removes its component from C.
+      var n = 0
+      var k = 0
+      i = 0
+      while (i < ends.length) {
+        var word = ends(i)
+        while (word != 0L) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+          word &= word - 1
+          if (Bits.getRow(c, 0, v)) { etStart(k) = n; k += 1; n = walk(c, v, n) }
+        }
+        i += 1
+      }
+      etPaths = k
+      var v = Bits.first(c)
+      while (v >= 0) { etStart(k) = n; k += 1; n = walk(c, v, n); v = Bits.first(c) }
+      etStart(k) = n
+      etComps = k
+      cPos = cMark
+      emitFrom(0)
+      len = save
+    }
+
+    /** Lay out the complement component of `start` from `etVerts(n)` on,
+      * removing it from `c`: each step goes to the lowest complement
+      * neighbour still in `c`. Returns the next free position.
+      */
+    private def walk(c: Array[Long], start: Int, n0: Int): Int = {
+      var n = n0
+      var v = start
+      while (v >= 0) {
+        Bits.clear(c, v)
+        etVerts(n) = bg.globalIds(v); n += 1
+        v = Bits.firstAndNotRow(c, full, v * W)
+      }
+      n
+    }
+
+    private def pick(pos: Int): Unit = { buf(len) = etVerts(pos); len += 1 }
+
+    /** Emit every combination of one maximal independent set per
+      * component from `ci` on (Alg. 8 lines 5–8), each pushed onto S.
+      */
+    private def emitFrom(ci: Int): Unit = {
+      if (ci == etComps) { emit(); return }
+      val st = etStart(ci)
+      val l = etStart(ci + 1) - st
+      if (ci < etPaths) {
+        // Algorithm 6: start with p(0) or p(1).
+        pick(st); pathRec(ci, st, l - 1, 0); len -= 1
+        pick(st + 1); pathRec(ci, st, l - 1, 1); len -= 1
+      } else if (l == 3) {
+        var k = 0
+        while (k < 3) { pick(st + k); emitFrom(ci + 1); len -= 1; k += 1 }
+      } else if (l == 4) {
+        pick(st); pick(st + 2); emitFrom(ci + 1); len -= 2
+        pick(st + 1); pick(st + 3); emitFrom(ci + 1); len -= 2
+      } else if (l == 5) {
+        var k = 0
+        while (k < 5) { pick(st + k); pick(st + (k + 2) % 5); emitFrom(ci + 1); len -= 2; k += 1 }
+      } else {
+        // Algorithm 7, |c| ≥ 6: three cases, each a path restriction.
+        // c(0) in: the path c(0)..c(l-2).
+        pick(st); pathRec(ci, st, l - 2, 0); len -= 1
+        // c(1) in: the path c(1)..c(l-1).
+        pick(st + 1); pathRec(ci, st + 1, l - 2, 0); len -= 1
+        // neither: c(l-1) and c(2) in; the path c(2)..c(l-3).
+        pick(st + l - 1); pick(st + 2); pathRec(ci, st + 2, l - 5, 0); len -= 2
+      }
+    }
+
+    /** The maximal independent sets of the path etVerts[st, st + to] that
+      * extend a choice ending at relative index `last`, each continued with
+      * component ci + 1.
+      */
+    private def pathRec(ci: Int, st: Int, to: Int, last: Int): Unit =
+      if (last + 2 > to) emitFrom(ci + 1)
+      else {
+        pick(st + last + 2); pathRec(ci, st, to, last + 2); len -= 1
+        if (last + 3 <= to) { pick(st + last + 3); pathRec(ci, st, to, last + 3); len -= 1 }
+      }
 
     // ---------------------------------------------------------------- pivot
 
@@ -306,17 +430,21 @@ object Kernels {
       */
     private def edgeRec(c: Array[Long], x: Array[Long], level: Int): Unit = {
       if (open(c, x, scans = cfg.etT >= 1) < 0) return
-      // Collect the usable pairs inside C as sort keys for an
-      // allocation-light sort.
+      // The usable pairs inside C as sort keys, in an array of their exact
+      // number: the rows in force count each pair once from either end.
       val ranks = bg.localRank
       val nLoc = bg.nLoc
-      val keys = new ArrayBuffer[Long]()
+      var ends = 0
+      Bits.foreachBit(c) { i => ends += Bits.countAndRow(c, surv, i * W) }
+      val edges = new Array[Long](ends / 2)
+      var k = 0
       val row = allocC()
       Bits.foreachBit(c) { i =>
         Bits.andIntoRow(row, c, surv, i * W)
-        Bits.foreachBit(row) { j => if (j > i) keys += pairKey(ranks(i * nLoc + j), i, j, nLoc) }
+        Bits.foreachBit(row) { j =>
+          if (j > i) { edges(k) = pairKey(ranks(i * nLoc + j), i, j, nLoc); k += 1 }
+        }
       }
-      val edges = keys.toArray
       java.util.Arrays.sort(edges)
       val cx = allocX()
       Bits.orIntoMixed(cx, x, c)

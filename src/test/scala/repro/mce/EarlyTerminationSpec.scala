@@ -1,12 +1,13 @@
 package repro.mce
 
 import repro.{SparkSpec, TestGraphs}
-import repro.mce.EarlyTerminationSpec.etCliques
+import repro.mce.EarlyTerminationSpec.{etCliques, etOnly}
 import scala.util.Random
 
-/** Direct tests of Algorithm 5 (2-plex) / Algorithm 8 (3-plex): feed a whole
-  * t-plex graph to `EarlyTermination.enumerate` as a single branch with
-  * C = V and X = ∅, and compare with the trusted plain-BK reference.
+/** Direct tests of Algorithm 5 (2-plex) / Algorithm 8 (3-plex): solve a
+  * whole t-plex graph as one kernel branch with C = V and X = ∅, which the
+  * prologue's t-plex exit must hand to early termination (`Solver.terminate`)
+  * without branching, and compare with the trusted plain-BK reference.
   */
 class EarlyTerminationSpec extends SparkSpec {
 
@@ -80,20 +81,45 @@ class EarlyTerminationSpec extends SparkSpec {
     val g = repro.graph.LocalGraph.complete(3)
     val (bg, _) = TestGraphs.asBranch(g)
     val sink = new CollectSink
-    val buf = Array(41, 42, 0, 0)
-    EarlyTermination.enumerate(bg, new Array[Long](Bits.words(3)), buf, 2, sink)
+    val counters = new Counters
+    Kernels.solve(bg, new Array[Long](bg.words), new Array[Long](bg.words), Array(41, 42), 2,
+      etOnly, counters, sink)
     assert(sink.cliques.map(_.toSeq) == Seq(Seq(41, 42)))
+    assert(counters.calls == 1 && counters.etApplied == 0)
+  }
+
+  test("multi-word complement: K142 minus paths and cycles across word boundaries") {
+    // Complement parts: a 6-vertex path across bit 64, a triangle across bit
+    // 128, the 4-cycle 0-70-140-5, a 7-cycle over three words and the single
+    // edge (40, 141); 5 * 3 * 2 * 7 * 2 = 420 maximal cliques.
+    def chain(vs: Int*): Seq[(Int, Int)] = vs.zip(vs.tail)
+    val removed = chain(60, 66, 63, 64, 61, 67) ++ chain(127, 128, 129, 127) ++
+      chain(0, 70, 140, 5, 0) ++ chain(10, 75, 131, 20, 85, 136, 30, 10) ++ Seq((40, 141))
+    val g = TestGraphs.completeMinus(142, removed)
+    val want = Engine.collectLocal(g, MceConfig.rDegen.copy(gr = false))._1
+    assert(want.size == 420)
+    assert(etCliques(g) == want)
+    // EBBMC is left out: branching on edges all the way down does not
+    // finish within a minute on a near-clique of this size
+    for ((name, cfg) <- MceConfig.named if name != "EBBMC")
+      assert(Engine.collectLocal(g, cfg)._1 == want, name)
   }
 }
 
 object EarlyTerminationSpec {
 
-  /** Maximal cliques of `g`, solved as one early-termination branch. */
+  private val etOnly = Kernels.KernelConfig(Kernels.Pivot, 3, 0)
+
+  /** Maximal cliques of `g`, solved as one kernel branch that early
+    * termination finishes alone: one call, one ET hit.
+    */
   def etCliques(g: repro.graph.LocalGraph): Vector[Vector[Int]] = {
     val (bg, c) = TestGraphs.asBranch(g)
     val sink = new CollectSink
-    val buf = new Array[Int](g.n + 4)
-    EarlyTermination.enumerate(bg, c, buf, 0, sink)
+    val counters = new Counters
+    Kernels.solve(bg, c, new Array[Long](bg.words), Array.emptyIntArray, 2, etOnly, counters, sink)
+    assert(counters.calls == 1 && counters.etApplied == 1,
+      s"calls ${counters.calls}, ET hits ${counters.etApplied}: not solved by early termination alone")
     RefBK.canon(sink.cliques)
   }
 }

@@ -100,6 +100,14 @@ class EngineSpec extends SparkSpec {
     assert(e.getMessage.contains("HBBMC++") && e.getMessage.contains("EBBMC"))
   }
 
+  test("an ET parameter outside 0..3 is rejected when the config is built") {
+    // t = 4 admits complement degree 3, which early termination cannot walk
+    val four = intercept[IllegalArgumentException](MceConfig.hbbmcT(4))
+    assert(four.getMessage.contains("etT = 4"), four.getMessage)
+    val minus = intercept[IllegalArgumentException](MceConfig.hbbmcPP.copy(etT = -1))
+    assert(minus.getMessage.contains("etT = -1"), minus.getMessage)
+  }
+
   /** Two hubs (0 and 1, adjacent) sharing `k` leaves, the leaves linked in
     * a cycle: minimum degree 4, so GR removes nothing, and the hub-hub edge
     * is anchored at a hub of degree k + 1.

@@ -3,9 +3,10 @@ package repro.mce
 import repro.{SparkSpec, TestGraphs}
 import repro.mce.EarlyTerminationSpec.etCliques
 
-/** Algorithms 6 and 7 (Enum_from_Path / Enum_from_Cycle) inside
-  * `EarlyTermination.enumerate`: the maximal cliques of K_l minus a path or
-  * cycle are exactly the maximal independent sets of that path or cycle.
+/** Algorithms 6 and 7 (Enum_from_Path / Enum_from_Cycle) inside early
+  * termination (`Kernels.Solver.terminate`, reached through `etCliques`):
+  * the maximal cliques of K_l minus a path or cycle are exactly the maximal
+  * independent sets of that path or cycle.
   * Checked against subset-enumeration ground truth for every length up to 16.
   */
 class PathCycleEnumSpec extends SparkSpec {
