@@ -15,7 +15,6 @@ object JobSession {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", "64")
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 }

@@ -155,12 +155,6 @@ object LocalGraph {
     new LocalGraph(n, offsets, adj, adjEdge, eu, ev)
   }
 
-  /** Build from parallel src/dst arrays (e.g., collected from a DataFrame). */
-  def fromEdgeArrays(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph = {
-    require(src.length == dst.length)
-    fromEdges(n, src.indices.iterator.map(i => (src(i), dst(i))))
-  }
-
   /** The empty graph on n vertices. */
   def empty(n: Int): LocalGraph = fromEdges(n, Iterator.empty)
 

@@ -22,6 +22,11 @@ final case class EdgeOrderResult(rank: Array[Int], bound: Int) extends Serializa
   */
 object TrussOrder {
 
+  /** The longest array a JVM is sure to allocate: a few header words short
+    * of `Int.MaxValue`.
+    */
+  private val MaxSlots = Int.MaxValue - 8
+
   /** Growable unboxed int stack (the generic collections box, and the bucket
     * queue sees O(#triangles) pushes).
     */
@@ -95,8 +100,12 @@ object TrussOrder {
         u += 1
       }
       if (pass == 0) {
+        var slots = 0L
         var e = 0
-        while (e < m) { off(e + 1) = off(e) + triCnt(e); e += 1 }
+        while (e < m) { slots += triCnt(e); off(e + 1) = slots.toInt; e += 1 }
+        if (slots > MaxSlots) throw new IllegalArgumentException(
+          s"truss ordering: ${slots / 3} triangles need $slots triangle slots, " +
+          s"more than one array holds ($MaxSlots)")
         otherA = new Array[Int](off(m)); otherB = new Array[Int](off(m))
         System.arraycopy(off, 0, cursor, 0, m)
       }

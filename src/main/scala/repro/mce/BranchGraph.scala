@@ -275,22 +275,6 @@ object BranchGraph {
     }
   }
 
-  /** Test/utility constructor: wrap a whole graph as one branch with full
-    * adjacency (C = caller's choice), single (non-dual) adjacency.
-    */
-  def ofWholeGraph(g: LocalGraph): BranchGraph = {
-    val n = g.n
-    val words = Bits.words(math.max(1, n))
-    val flat = new Array[Long](n * words)
-    var e = 0
-    while (e < g.m) {
-      Bits.setRow(flat, g.eu(e) * words, g.ev(e))
-      Bits.setRow(flat, g.ev(e) * words, g.eu(e))
-      e += 1
-    }
-    new BranchGraph(n, words, flat, flat, Array.tabulate(n)(identity), null)
-  }
-
   /** Branch for level-1 *vertex* branching at vertex `v` under the
     * degeneracy order (BK_Degen-style split): universe = N(v); candidates =
     * neighbors later in the order, exclusions = earlier. Single adjacency in

@@ -56,7 +56,7 @@ final class CountingSink extends CliqueSink {
   }
 }
 
-/** Collects cliques (sorted vertex ids) — for tests and result DataFrames. */
+/** Collects cliques (sorted vertex ids), for tests and `runCollect`. */
 final class CollectSink extends CliqueSink {
   val cliques = new scala.collection.mutable.ArrayBuffer[Array[Int]]()
   override def emit(vertices: Array[Int], len: Int): Unit = {

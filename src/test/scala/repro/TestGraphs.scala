@@ -58,10 +58,15 @@ object TestGraphs {
     * no consumed edges — the setting early termination operates in.
     */
   def asBranch(g: LocalGraph): (BranchGraph, Array[Long]) = {
-    val bg = BranchGraph.ofWholeGraph(g)
-    val c = new Array[Long](Bits.words(math.max(1, g.n)))
+    val words = Bits.words(math.max(1, g.n))
+    val flat = new Array[Long](g.n * words)
+    for (e <- 0 until g.m) {
+      Bits.setRow(flat, g.eu(e) * words, g.ev(e))
+      Bits.setRow(flat, g.ev(e) * words, g.eu(e))
+    }
+    val c = new Array[Long](words)
     (0 until g.n).foreach(Bits.set(c, _))
-    (bg, c)
+    (new BranchGraph(g.n, words, flat, flat, Array.tabulate(g.n)(identity), null), c)
   }
 
   /** All maximal independent sets of the path graph v0-v1-...-v(L-1),

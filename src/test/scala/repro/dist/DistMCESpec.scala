@@ -9,13 +9,8 @@ import repro.mce.{CollectSink, Engine, MceConfig, RefBK}
   */
 class DistMCESpec extends SparkSpec {
 
-  private def collectDist(g: LocalGraph, cfg: MceConfig): Vector[Vector[Int]] = {
-    val (df, _) = DistMCE.runCollect(spark, g, cfg)
-    df.collect()
-      .map(_.getSeq[Int](0).toVector)
-      .toVector
-      .sortBy(_.mkString(","))
-  }
+  private def collectDist(g: LocalGraph, cfg: MceConfig): Vector[Vector[Int]] =
+    DistMCE.runCollect(spark, g, cfg)._1
 
   test("distributed HBBMC++ equals reference on a random graph") {
     val g = GraphGen.randomGnp(40, 0.25, 21)
@@ -76,27 +71,16 @@ class DistMCESpec extends SparkSpec {
   test("parallelism does not change the result") {
     val g = GraphGen.randomGnp(45, 0.25, 26)
     val want = RefBK.enumerate(g)
-    for (par <- Seq(1, 2, 7, 64)) {
-      val (df, _) = DistMCE.runCollect(spark, g, MceConfig.hbbmcPP, parallelism = par)
-      val got = df.collect().map(_.getSeq[Int](0).toVector).toVector.sortBy(_.mkString(","))
+    val prep = Engine.prepare(g, MceConfig.hbbmcPP)
+    val local = Engine.runLocal(g, MceConfig.hbbmcPP, new CollectSink)
+    // one level-1 branch per edge of the reduced graph
+    assert(local.level1Branches == prep.reduced.m)
+    // equal counters mean every level-1 unit is solved exactly once
+    for (par <- Seq(1, 2, 7, 64, prep.units + 5)) {
+      val (got, stats) = DistMCE.runCollect(spark, g, MceConfig.hbbmcPP, parallelism = par)
       assert(got == want, s"par=$par")
+      assert(stats == local, s"runCollect, par=$par")
+      assert(DistMCE.run(spark, g, MceConfig.hbbmcPP, parallelism = par) == local, s"run, par=$par")
     }
-  }
-
-  test("distributed output passes the DataFrame verification joins") {
-    val g = GraphGen.randomGnp(40, 0.3, 27)
-    val (df, _) = DistMCE.runCollect(spark, g, MceConfig.hbbmcPP)
-    val e = GraphOps.toEdgesDf(spark, g)
-    assert(GraphOps.nonEdgePairCount(df, e) == 0L)
-    assert(GraphOps.extenderCount(df, e) == 0L)
-    assert(GraphOps.duplicateCount(df) == 0L)
-  }
-
-  test("edge DataFrame ingestion end-to-end (SynthData.paperGraph)") {
-    val edges = GraphOps.toEdgesDf(spark, GraphGen.ba(200, 3, 9))
-    val g = GraphOps.toLocalGraph(GraphOps.normalize(edges), 200)
-    val stats = DistMCE.run(spark, g, MceConfig.hbbmcPP)
-    val (_, localStats) = Engine.collectLocal(g, MceConfig.hbbmcPP)
-    assert(stats.cliques == localStats.cliques)
   }
 }

@@ -138,6 +138,13 @@ class EngineSpec extends SparkSpec {
     assert(e.getMessage.contains("degree 47001"), e.getMessage)
   }
 
+  test("a triangle index too large for one array fails with a clear message") {
+    // K_1700 has 817,388,900 triangles: 3T slots exceed Int.MaxValue
+    val e = intercept[IllegalArgumentException](
+      Engine.runLocal(LocalGraph.complete(1700), MceConfig.hbbmcPP, new CountingSink))
+    assert(e.getMessage.contains("817388900"), e.getMessage)
+  }
+
   test("singleton-only graph via the edge split without GR") {
     val g = LocalGraph.empty(4)
     val (cliques, _) = Engine.collectLocal(g, MceConfig.hbbmcPP.copy(gr = false))
