@@ -16,8 +16,8 @@ final case class DegeneracyResult(
 
 /** Linear-time degeneracy ordering via bucketed min-degree peeling
   * (Matula–Beck). Repeatedly removes a minimum-degree vertex; the largest
-  * degree seen at removal time is the degeneracy δ. Used by the VBBMC
-  * baselines (BK_Degen level-1 split) and for Table I statistics.
+  * degree seen at removal time is the degeneracy δ. Used by GR, the VBBMC
+  * baselines, the truss ordering's triangle listing and Table I statistics.
   */
 object Degeneracy {
 

@@ -105,7 +105,7 @@ object LocalGraph {
     * self-loops are dropped, duplicates and reversed duplicates merged.
     */
   def fromEdges(n: Int, pairs: IterableOnce[(Int, Int)]): LocalGraph = {
-    val packed = new ArrayBuffer[Long]()
+    val packed = Array.newBuilder[Long]
     val it = pairs.iterator
     while (it.hasNext) {
       val (x, y) = it.next()
@@ -115,7 +115,7 @@ object LocalGraph {
         packed += ((a.toLong << 32) | (b.toLong & 0xffffffffL))
       }
     }
-    val sorted = packed.toArray
+    val sorted = packed.result()
     java.util.Arrays.sort(sorted)
     var mDistinct = 0
     var i = 0

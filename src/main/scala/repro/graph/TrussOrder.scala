@@ -27,20 +27,10 @@ object TrussOrder {
     */
   private val MaxSlots = Int.MaxValue - 8
 
-  /** Growable unboxed int stack (the generic collections box, and the bucket
-    * queue sees O(#triangles) pushes).
+  /** The truss ordering of `g`, whose triangles are listed over the forward
+    * lists of the degeneracy positions `pos` (`Degeneracy.compute(g).pos`).
     */
-  private final class IntStack {
-    private var arr = new Array[Int](8)
-    var len = 0
-    def push(x: Int): Unit = {
-      if (len == arr.length) arr = java.util.Arrays.copyOf(arr, arr.length * 2)
-      arr(len) = x; len += 1
-    }
-    def pop(): Int = { len -= 1; arr(len) }
-  }
-
-  def compute(g: LocalGraph): EdgeOrderResult = {
+  def compute(g: LocalGraph, pos: Array[Int]): EdgeOrderResult = {
     val m = g.m
     if (m == 0) return EdgeOrderResult(new Array[Int](0), 0)
     // Triangle listing in O(δm): orient each edge to its later endpoint in
@@ -49,7 +39,6 @@ object TrussOrder {
     // recorded on each of its three edges as the pair of the OTHER two edge
     // ids (6 ints per triangle), so the peel below is a pure array walk.
     // Pass 0 counts the triangles per edge, pass 1 fills that CSR.
-    val pos = Degeneracy.compute(g).pos
     val fOff = new Array[Int](g.n + 1)
     val fAdj = new Array[Int](m)
     val fEdge = new Array[Int](m)
@@ -112,37 +101,46 @@ object TrussOrder {
       pass += 1
     }
     // Peel: repeatedly remove the minimum-support edge; supports = live
-    // triangle counts. Bucket queue with lazy (stale-entry) deletion.
+    // triangle counts. Each live edge sits once in the list of its support
+    // (`head`, then `next`), newest first, which is the edge a stack per
+    // support would pop; the ranks depend on that tie order.
     val sup = triCnt
-    val removed = new Array[Boolean](m)
-    val maxSup = sup.max
-    val buckets = Array.fill(maxSup + 1)(new IntStack)
+    val head = Array.fill(sup.max + 1)(-1)
+    val next = new Array[Int](m)
+    val prev = new Array[Int](m)
+    def link(e: Int): Unit = {
+      val h = head(sup(e))
+      next(e) = h; prev(e) = -1
+      if (h >= 0) prev(h) = e
+      head(sup(e)) = e
+    }
+    def unlink(e: Int): Unit = {
+      if (prev(e) >= 0) next(prev(e)) = next(e) else head(sup(e)) = next(e)
+      if (next(e) >= 0) prev(next(e)) = prev(e)
+    }
     var e = 0
-    while (e < m) { buckets(sup(e)).push(e); e += 1 }
-    val rank = new Array[Int](m)
+    while (e < m) { link(e); e += 1 }
+    val rank = Array.fill(m)(-1) // -1 while the edge is live
     var tau = 0
     var nextRank = 0
     var cur = 0
     while (nextRank < m) {
-      while (cur <= maxSup && buckets(cur).len == 0) cur += 1
-      require(cur <= maxSup, "bucket queue exhausted before all edges ranked")
-      val cand = buckets(cur).pop()
-      if (!removed(cand) && sup(cand) == cur) {
-        removed(cand) = true
-        rank(cand) = nextRank
-        tau = math.max(tau, cur)
-        nextRank += 1
-        var k = off(cand)
-        val ke = off(cand + 1)
-        while (k < ke) {
-          val e1 = otherA(k); val e2 = otherB(k)
-          if (!removed(e1) && !removed(e2)) {
-            sup(e1) -= 1; buckets(sup(e1)).push(e1)
-            sup(e2) -= 1; buckets(sup(e2)).push(e2)
-            cur = math.min(cur, math.min(sup(e1), sup(e2)))
-          }
-          k += 1
+      while (head(cur) < 0) cur += 1
+      val cand = head(cur)
+      unlink(cand)
+      rank(cand) = nextRank
+      tau = math.max(tau, cur)
+      nextRank += 1
+      var k = off(cand)
+      val ke = off(cand + 1)
+      while (k < ke) {
+        val e1 = otherA(k); val e2 = otherB(k)
+        if (rank(e1) < 0 && rank(e2) < 0) {
+          unlink(e1); sup(e1) -= 1; link(e1)
+          unlink(e2); sup(e2) -= 1; link(e2)
+          cur = math.min(cur, math.min(sup(e1), sup(e2)))
         }
+        k += 1
       }
     }
     EdgeOrderResult(rank, tau)
@@ -155,7 +153,7 @@ object TrussOrder {
 object EdgeOrders {
 
   /** The paper's default: truss-based ordering, bound = τ. */
-  def truss(g: LocalGraph): EdgeOrderResult = TrussOrder.compute(g)
+  def truss(g: LocalGraph): EdgeOrderResult = TrussOrder.compute(g, Degeneracy.compute(g).pos)
 
   /** `HBBMC-dgn`: edges sorted "alphabetically" by the degeneracy positions
     * of their endpoints — each edge oriented (earlier pos, later pos), then

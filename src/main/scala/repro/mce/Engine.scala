@@ -1,6 +1,6 @@
 package repro.mce
 
-import repro.graph.{Degeneracy, EdgeOrderResult, EdgeOrders, LocalGraph}
+import repro.graph.{Degeneracy, EdgeOrderResult, EdgeOrders, LocalGraph, TrussOrder}
 
 /** Which ordering drives level-1 edge branching (paper Table VI). */
 sealed trait EdgeOrderKind extends Serializable
@@ -104,21 +104,23 @@ object Engine {
 
   def prepare(g: LocalGraph, cfg: MceConfig): Prepared = {
     val direct = new CollectSink
-    val (reduced, oldId) =
-      if (cfg.gr) {
-        val r = GraphReduction.reduce(g, direct)
-        (r.reduced, r.oldId)
-      } else (g, Array.tabulate(g.n)(identity))
+    val gr = if (cfg.gr) GraphReduction.reduce(g, direct) else null
+    val reduced = if (gr == null) g else gr.reduced
+    val oldId = if (gr == null) Array.tabulate(g.n)(identity) else gr.oldId
+    // GR peels its input; when it removed nothing, that peel is the reduced
+    // graph's, and no ordering peels again.
+    lazy val degen =
+      if (gr != null && !gr.removedAny) gr.degeneracy else Degeneracy.compute(reduced)
     var edgeRank: Array[Int] = null
     var bound = 0
     var degenPos: Array[Int] = null
     cfg.level1 match {
       case Level1.VertexDegeneracy =>
-        degenPos = Degeneracy.compute(reduced).pos
+        degenPos = degen.pos
       case Level1.EdgeOrdered(kind) =>
         val res: EdgeOrderResult = kind match {
-          case EdgeOrderKind.Truss    => EdgeOrders.truss(reduced)
-          case EdgeOrderKind.DegenLex => EdgeOrders.degeneracyLex(reduced, Degeneracy.compute(reduced))
+          case EdgeOrderKind.Truss    => TrussOrder.compute(reduced, degen.pos)
+          case EdgeOrderKind.DegenLex => EdgeOrders.degeneracyLex(reduced, degen)
           case EdgeOrderKind.MinDeg   => EdgeOrders.minDegree(reduced)
         }
         edgeRank = res.rank

@@ -1,7 +1,7 @@
 package repro.dist
 
 import repro.SparkSpec
-import repro.graph.{Degeneracy, GraphGen, TrussOrder}
+import repro.graph.{Degeneracy, EdgeOrders, GraphGen}
 
 class DatasetStatsSpec extends SparkSpec {
 
@@ -27,7 +27,7 @@ class DatasetStatsSpec extends SparkSpec {
     GraphGen.paperSuite.foreach { cfg =>
       val g = GraphGen.generate(cfg)
       val delta = Degeneracy.compute(g).delta
-      val tau = TrussOrder.compute(g).bound
+      val tau = EdgeOrders.truss(g).bound
       assert(tau < delta, s"${cfg.name}: tau=$tau delta=$delta")
     }
   }

@@ -46,18 +46,37 @@ class TrussOrderSpec extends SparkSpec {
     val hubs = GraphGen.DatasetConfig("H", "hubs", 3000, 3, 80, 4, 12, 0, 31, 3, 25, 35, 0.6,
       nHubs = 4, hubDeg = 600)
     val graphs = Seq(GraphGen.generate(hubs), GraphGen.generate(GraphGen.byName("FB")),
-      GraphGen.generate(GraphGen.byName("WE")), GraphGen.ba(800, 5, 3)) ++
+      GraphGen.generate(GraphGen.byName("WE")), GraphGen.ba(800, 5, 3),
+      // Tie-heavy: every edge of a clique starts with the same support.
+      LocalGraph.complete(12), LocalGraph.complete(40),
+      GraphGen.generate(GraphGen.DatasetConfig("P", "planted", 600, 2, 30, 12, 30, 60, 41))) ++
       (0 until 4).map(s => GraphGen.randomGnp(60, 0.3, s + 900))
     for (g <- graphs) {
-      val r = TrussOrder.compute(g)
+      val r = EdgeOrders.truss(g)
       assert(r.rank.sameElements(referenceRank(g)), s"n=${g.n} m=${g.m}")
     }
+  }
+
+  test("the peel's memory does not grow with the triangle count") {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val n = 300
+    val g = LocalGraph.complete(n)
+    EdgeOrders.truss(g) // warm-up
+    val a0 = threads.getCurrentThreadAllocatedBytes
+    EdgeOrders.truss(g)
+    val alloc = threads.getCurrentThreadAllocatedBytes - a0
+    // The triangle index holds 6 ints (24 bytes) per triangle; everything
+    // else is O(m) or O(n).
+    val triangles = n.toLong * (n - 1) * (n - 2) / 6
+    val bound = 24L * triangles + 64L * g.m + (4L << 20)
+    assert(alloc <= bound, s"allocated $alloc bytes, bound $bound")
   }
 
   test("greedy peel: each edge has the minimum live support at its removal") {
     for (seed <- 0 until 6) {
       val g = GraphGen.randomGnp(25, 0.35, seed + 700)
-      val r = TrussOrder.compute(g)
+      val r = EdgeOrders.truss(g)
       val live = Array.fill(g.m)(true)
       def support(e: Int): Int = g.commonNeighbors(g.eu(e), g.ev(e)).count { w =>
         live(g.edgeId(g.eu(e), w)) && live(g.edgeId(g.ev(e), w))
@@ -74,32 +93,32 @@ class TrussOrderSpec extends SparkSpec {
   }
 
   test("empty and edgeless graphs") {
-    assert(TrussOrder.compute(LocalGraph.empty(5)).bound == 0)
-    assert(TrussOrder.compute(LocalGraph.empty(5)).rank.isEmpty)
+    assert(EdgeOrders.truss(LocalGraph.empty(5)).bound == 0)
+    assert(EdgeOrders.truss(LocalGraph.empty(5)).rank.isEmpty)
   }
 
   test("triangle-free graph has tau 0") {
-    assert(TrussOrder.compute(TestGraphs.path(10)).bound == 0)
-    assert(TrussOrder.compute(TestGraphs.cycle(10)).bound == 0)
-    assert(TrussOrder.compute(TestGraphs.star(10)).bound == 0)
+    assert(EdgeOrders.truss(TestGraphs.path(10)).bound == 0)
+    assert(EdgeOrders.truss(TestGraphs.cycle(10)).bound == 0)
+    assert(EdgeOrders.truss(TestGraphs.star(10)).bound == 0)
   }
 
   test("complete graph K_n has tau n-2") {
     // Removing edges one by one, the first removal sees n-2 common neighbors.
-    assert(TrussOrder.compute(LocalGraph.complete(6)).bound == 4)
-    assert(TrussOrder.compute(LocalGraph.complete(3)).bound == 1)
+    assert(EdgeOrders.truss(LocalGraph.complete(6)).bound == 4)
+    assert(EdgeOrders.truss(LocalGraph.complete(3)).bound == 1)
   }
 
   test("rank is a permutation of 0 until m") {
     val g = GraphGen.randomGnp(30, 0.3, 7)
-    val r = TrussOrder.compute(g)
+    val r = EdgeOrders.truss(g)
     assert(r.rank.toSeq.sorted == (0 until g.m))
   }
 
   test("bound equals the generic achieved-bound evaluator") {
     for (seed <- 0 until 8) {
       val g = GraphGen.randomGnp(25, 0.35, seed)
-      val r = TrussOrder.compute(g)
+      val r = EdgeOrders.truss(g)
       assert(EdgeOrders.achievedBound(g, r.rank) == r.bound)
     }
   }
@@ -109,7 +128,7 @@ class TrussOrderSpec extends SparkSpec {
       val rng = new Random(seed)
       val g = GraphGen.randomGnp(10 + rng.nextInt(30), 0.1 + rng.nextDouble() * 0.4, seed + 50)
       if (g.m > 0) {
-        val tau = TrussOrder.compute(g).bound
+        val tau = EdgeOrders.truss(g).bound
         val delta = Degeneracy.compute(g).delta
         assert(tau < delta, s"tau=$tau delta=$delta")
       }
@@ -148,7 +167,7 @@ class TrussOrderSpec extends SparkSpec {
   test("tau bounds the level-1 candidate size on the paper-suite generator") {
     val cfg = GraphGen.DatasetConfig("T", "t", 400, 3, 30, 5, 9, 0, 77)
     val g = GraphGen.generate(cfg)
-    val r = TrussOrder.compute(g)
+    val r = EdgeOrders.truss(g)
     // By definition of achievedBound every level-1 branch has ≤ bound
     // candidates; spot-check directly.
     val rank = r.rank

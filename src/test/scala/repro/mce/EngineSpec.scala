@@ -76,7 +76,7 @@ class EngineSpec extends SparkSpec {
   test("order bound is recorded (tau for truss)") {
     val g = GraphGen.randomGnp(50, 0.3, 11)
     val prep = Engine.prepare(g, MceConfig.hbbmcPP.copy(gr = false))
-    assert(prep.orderBound == repro.graph.TrussOrder.compute(g).bound)
+    assert(prep.orderBound == repro.graph.EdgeOrders.truss(g).bound)
   }
 
   test("presets match the paper's algorithm naming") {

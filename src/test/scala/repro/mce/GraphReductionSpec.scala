@@ -78,11 +78,30 @@ class GraphReductionSpec extends SparkSpec {
     assert(direct == RefBK.enumerate(g))
   }
 
+  private def randomGraph(seed: Int): LocalGraph = {
+    val rng = new Random(seed)
+    val n = 8 + rng.nextInt(30)
+    GraphGen.randomGnp(n, 0.05 + rng.nextDouble() * 0.2, seed + 400)
+  }
+
+  /** The 3-core's vertices: repeatedly delete any vertex with fewer than 3
+    * live neighbours.
+    */
+  private def threeCore(g: LocalGraph): Seq[Int] = {
+    val live = Array.fill(g.n)(true)
+    var changed = true
+    while (changed) {
+      changed = false
+      for (v <- 0 until g.n if live(v) && g.neighbors(v).count(live) < 3) {
+        live(v) = false; changed = true
+      }
+    }
+    (0 until g.n).filter(live)
+  }
+
   for (seed <- 0 until 20)
     test(s"GR emissions + reduced-graph cliques = all maximal cliques, seed=$seed") {
-      val rng = new Random(seed)
-      val n = 8 + rng.nextInt(30)
-      val g = GraphGen.randomGnp(n, 0.05 + rng.nextDouble() * 0.2, seed + 400)
+      val g = randomGraph(seed)
       val (direct, res) = run(g)
       // Enumerate the reduced graph with the reference and translate back;
       // small (≤2) cliques must be re-checked against the original graph.
@@ -100,5 +119,19 @@ class GraphReductionSpec extends SparkSpec {
     val g = GraphGen.randomGnp(60, 0.12, 999)
     val (_, res) = run(g)
     (0 until res.reduced.n).foreach(v => assert(res.reduced.degree(v) >= 3))
+  }
+
+  test("GR keeps exactly the 3-core") {
+    for (seed <- 0 until 20) {
+      val g = randomGraph(seed)
+      assert(run(g)._2.oldId.toSeq == threeCore(g), s"seed=$seed")
+    }
+    // The suite stand-ins on which GR removes vertices.
+    for (name <- Seq("WE", "DB", "YO")) {
+      val g = GraphGen.generate(GraphGen.byName(name))
+      val res = run(g)._2
+      assert(res.removedAny, name)
+      assert(res.oldId.toSeq == threeCore(g), name)
+    }
   }
 }
