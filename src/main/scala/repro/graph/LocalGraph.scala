@@ -1,12 +1,9 @@
 package repro.graph
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Compact CSR representation of an undirected simple graph.
   *
   * Vertices are `0 until n`. Adjacency lists are sorted, enabling
-  * O(log d) membership tests and linear-merge set intersections.
-  * Canonical edges are the pairs `(eu(i), ev(i))` with `eu(i) < ev(i)`,
+  * O(log d) membership tests. Canonical edges are the pairs `(eu(i), ev(i))` with `eu(i) < ev(i)`,
   * sorted lexicographically, so an edge id doubles as a stable index
   * for rank arrays (truss order, degeneracy-lex order, ...). `adjEdge`
   * gives an O(1) edge id per adjacency slot, with no search.
@@ -53,34 +50,6 @@ final class LocalGraph private (
   def edgeId(u: Int, v: Int): Int = {
     val p = edgeSlot(u, v)
     if (p < 0) -1 else adjEdge(p)
-  }
-
-  /** Common neighbors of u and v (sorted), by linear merge. */
-  def commonNeighbors(u: Int, v: Int): Array[Int] = {
-    val out = new ArrayBuffer[Int](math.min(degree(u), degree(v)))
-    var i = offsets(u); var j = offsets(v)
-    val ei = offsets(u + 1); val ej = offsets(v + 1)
-    while (i < ei && j < ej) {
-      val a = adj(i); val b = adj(j)
-      if (a == b) { out += a; i += 1; j += 1 }
-      else if (a < b) i += 1
-      else j += 1
-    }
-    out.toArray
-  }
-
-  /** Number of common neighbors without materializing them. */
-  def commonNeighborCount(u: Int, v: Int): Int = {
-    var c = 0
-    var i = offsets(u); var j = offsets(v)
-    val ei = offsets(u + 1); val ej = offsets(v + 1)
-    while (i < ei && j < ej) {
-      val a = adj(i); val b = adj(j)
-      if (a == b) { c += 1; i += 1; j += 1 }
-      else if (a < b) i += 1
-      else j += 1
-    }
-    c
   }
 
   /** All canonical edges as packed (u, v) pairs — handy for tests. */

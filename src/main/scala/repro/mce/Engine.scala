@@ -71,12 +71,13 @@ object MceConfig {
 }
 
 /** Precomputed, broadcast-able state of one enumeration: the (possibly
-  * reduced) graph, orderings, and the cliques GR emitted directly.
+  * reduced) graph with GR's closed edges, orderings, and the cliques GR
+  * emitted directly.
   */
 final class Prepared(
-    val orig: LocalGraph,
     val reduced: LocalGraph,
     val oldId: Array[Int],
+    val closed: Array[Boolean], // per reduced edge: GR's closed flag (all false without GR)
     val cfg: MceConfig,
     val edgeRank: Array[Int], // null unless level-1 is edge-ordered
     val orderBound: Int,      // τ for truss; achieved bound otherwise
@@ -107,6 +108,7 @@ object Engine {
     val gr = if (cfg.gr) GraphReduction.reduce(g, direct) else null
     val reduced = if (gr == null) g else gr.reduced
     val oldId = if (gr == null) Array.tabulate(g.n)(identity) else gr.oldId
+    val closed = if (gr == null) new Array[Boolean](g.m) else gr.closed
     // GR peels its input; when it removed nothing, that peel is the reduced
     // graph's, and no ordering peels again.
     lazy val degen =
@@ -130,8 +132,7 @@ object Engine {
           // edge branching cannot reach (paper Eq. 3 at the initial branch).
           var v = 0
           while (v < reduced.n) {
-            if (reduced.degree(v) == 0 && g.degree(oldId(v)) == 0)
-              direct.cliques += Array(oldId(v))
+            if (reduced.degree(v) == 0) direct.cliques += Array(v)
             v += 1
           }
         }
@@ -173,7 +174,7 @@ object Engine {
         e += 1
       }
     }
-    new Prepared(g, reduced, oldId, cfg, edgeRank, bound, degenPos, direct.cliques.toArray,
+    new Prepared(reduced, oldId, closed, cfg, edgeRank, bound, degenPos, direct.cliques.toArray,
       anchorVerts, anchorOff, anchorEdges)
   }
 
@@ -264,16 +265,18 @@ object Engine {
   }
 }
 
-/** Maps reduced-graph ids back to original ids and drops the (rare) size ≤ 2
-  * emissions that graph reduction made non-maximal in the original graph.
+/** Maps reduced-graph ids back to original ids and drops the (rare)
+  * 2-cliques whose edge GR closed: a removed vertex is adjacent to both, so
+  * they are not maximal in the original graph. No other emission is: a
+  * removed vertex has at most two later neighbours, and with GR the reduced
+  * graph has no isolated vertex (see DESIGN.md §4).
   */
 final class TranslateFilterSink(prep: Prepared, inner: CliqueSink) extends CliqueSink {
   private val tmp = new Array[Int](prep.reduced.n + 8)
   override def emit(vertices: Array[Int], len: Int): Unit = {
+    if (len == 2 && prep.closed(prep.reduced.edgeId(vertices(0), vertices(1)))) return
     var i = 0
     while (i < len) { tmp(i) = prep.oldId(vertices(i)); i += 1 }
-    if (len == 1 && prep.orig.degree(tmp(0)) > 0) return
-    if (len == 2 && prep.orig.commonNeighborCount(tmp(0), tmp(1)) > 0) return
     inner.emit(tmp, len)
   }
 }

@@ -8,6 +8,12 @@ object TestGraphs {
 
   def of(n: Int, edges: (Int, Int)*): LocalGraph = LocalGraph.fromEdges(n, edges)
 
+  /** Common neighbours of u and v in ascending order: u's neighbours that
+    * are adjacent to v.
+    */
+  def commonNeighbors(g: LocalGraph, u: Int, v: Int): Array[Int] =
+    g.neighbors(u).filter(g.hasEdge(v, _))
+
   /** Path 0-1-2-...-(n-1). */
   def path(n: Int): LocalGraph = of(n, (0 until n - 1).map(i => (i, i + 1)): _*)
 

@@ -57,15 +57,6 @@ class LocalGraphSpec extends SparkSpec {
     assert((0 until g.n).map(g.degree).sum == 2 * g.m)
   }
 
-  test("commonNeighbors matches a naive set intersection") {
-    val g = GraphGen.randomGnp(35, 0.25, 4)
-    for (u <- 0 until g.n; v <- (u + 1) until g.n) {
-      val expected = g.neighbors(u).toSet.intersect(g.neighbors(v).toSet).toSeq.sorted
-      assert(g.commonNeighbors(u, v).toSeq == expected)
-      assert(g.commonNeighborCount(u, v) == expected.size)
-    }
-  }
-
   test("complete graph has all edges") {
     val g = LocalGraph.complete(7)
     assert(g.m == 21)

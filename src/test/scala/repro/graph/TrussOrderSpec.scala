@@ -78,7 +78,7 @@ class TrussOrderSpec extends SparkSpec {
       val g = GraphGen.randomGnp(25, 0.35, seed + 700)
       val r = EdgeOrders.truss(g)
       val live = Array.fill(g.m)(true)
-      def support(e: Int): Int = g.commonNeighbors(g.eu(e), g.ev(e)).count { w =>
+      def support(e: Int): Int = TestGraphs.commonNeighbors(g, g.eu(e), g.ev(e)).count { w =>
         live(g.edgeId(g.eu(e), w)) && live(g.edgeId(g.ev(e), w))
       }
       var tau = 0
@@ -174,7 +174,7 @@ class TrussOrderSpec extends SparkSpec {
     var maxC = 0
     for (e <- 0 until g.m) {
       val u = g.eu(e); val v = g.ev(e)
-      val c = g.commonNeighbors(u, v).count { w =>
+      val c = TestGraphs.commonNeighbors(g, u, v).count { w =>
         rank(g.edgeId(u, w)) > rank(e) && rank(g.edgeId(v, w)) > rank(e)
       }
       maxC = math.max(maxC, c)

@@ -1,6 +1,7 @@
 package repro.mce
 
 import repro.{SparkSpec, TestGraphs}
+import repro.dist.DistMCE
 import repro.graph.{GraphGen, LocalGraph}
 
 /** Engine-level behavior: counters, ET effectiveness, preset wiring. */
@@ -143,6 +144,18 @@ class EngineSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](
       Engine.runLocal(LocalGraph.complete(1700), MceConfig.hbbmcPP, new CountingSink))
     assert(e.getMessage.contains("817388900"), e.getMessage)
+  }
+
+  test("a 2-clique of the reduced graph whose edge GR closed is dropped") {
+    // Two K4s joined by the edge (0,4); vertex 8 sees only 0 and 4, so GR
+    // emits {0,4,8} and closes (0,4), which is maximal in the reduced graph.
+    val k4s = for (b <- Seq(0, 4); u <- b until b + 4; v <- (u + 1) until b + 4) yield (u, v)
+    val g = TestGraphs.of(9, k4s ++ Seq((0, 4), (0, 8), (4, 8)): _*)
+    val expected = RefBK.enumerate(g)
+    assert(!expected.contains(Vector(0, 4)))
+    assert(Engine.collectLocal(g, MceConfig.hbbmcPP)._1 == expected)
+    assert(Engine.collectLocal(g, MceConfig.rDegen)._1 == expected)
+    assert(DistMCE.runCollect(spark, g, MceConfig.hbbmcPP)._1 == expected)
   }
 
   test("singleton-only graph via the edge split without GR") {

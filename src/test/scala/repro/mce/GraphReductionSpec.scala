@@ -107,7 +107,7 @@ class GraphReductionSpec extends SparkSpec {
       // small (≤2) cliques must be re-checked against the original graph.
       val rest = RefBK.enumerate(res.reduced).map(_.map(res.oldId)).filter { c =>
         if (c.size == 1) g.degree(c.head) == 0
-        else if (c.size == 2) g.commonNeighborCount(c(0), c(1)) == 0
+        else if (c.size == 2) TestGraphs.commonNeighbors(g, c(0), c(1)).isEmpty
         else true
       }
       val all = (direct ++ rest.map(_.sorted.toVector)).sortBy(_.mkString(","))
@@ -119,6 +119,33 @@ class GraphReductionSpec extends SparkSpec {
     val g = GraphGen.randomGnp(60, 0.12, 999)
     val (_, res) = run(g)
     (0 until res.reduced.n).foreach(v => assert(res.reduced.degree(v) >= 3))
+  }
+
+  /** `closed` holds, for each reduced edge, whether some removed vertex of
+    * `g` is adjacent to both of its endpoints.
+    */
+  private def assertClosedEdges(g: LocalGraph, res: GraphReduction.Result, clue: String): Unit = {
+    val r = res.reduced
+    val kept = res.oldId.toSet
+    assert(res.closed.length == r.m, clue)
+    for (e <- 0 until r.m) {
+      val removedCommon = TestGraphs.commonNeighbors(g, res.oldId(r.eu(e)), res.oldId(r.ev(e)))
+        .exists(!kept(_))
+      assert(res.closed(e) == removedCommon, s"$clue edge $e")
+    }
+  }
+
+  test("closed marks exactly the reduced edges with a removed common neighbour") {
+    for (seed <- 0 until 20) {
+      val g = randomGraph(seed)
+      assertClosedEdges(g, run(g)._2, s"seed=$seed")
+    }
+    for (name <- Seq("WE", "DB", "YO")) {
+      val g = GraphGen.generate(GraphGen.byName(name))
+      val res = run(g)._2
+      assert(res.closed.contains(true), name)
+      assertClosedEdges(g, res, name)
+    }
   }
 
   test("GR keeps exactly the 3-core") {
