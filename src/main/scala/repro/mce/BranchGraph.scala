@@ -278,11 +278,11 @@ object BranchGraph {
   /** Branch for level-1 *vertex* branching at vertex `v` under the
     * degeneracy order (BK_Degen-style split): universe = N(v); candidates =
     * neighbors later in the order, exclusions = earlier. Single adjacency in
-    * the workspace's `hFlat`, valid until the next level-1 build.
+    * the workspace's `hFlat`, valid until the next level-1 build. `g` is
+    * GR's reduced graph, a 3-core, so `v` is never isolated.
     */
   def forVertexBranch(g: LocalGraph, pos: Array[Int], v: Int, ws: Workspace): BranchResult = {
     val nLoc = g.degree(v)
-    if (nLoc == 0) return BranchResult.Trivial(Array(v)) // isolated: 1-clique
     val start = g.offsets(v)
     var cCount = 0
     var p = start

@@ -21,38 +21,42 @@ object Level1 {
 }
 
 /** Full algorithm configuration. The paper's named algorithms are presets
-  * in the companion object.
+  * in the companion object. Graph reduction (GR) always runs: every
+  * configuration the paper evaluates, HBBMC++ and each R* baseline,
+  * carries it.
   *
   * @param edgeDepth number of edge-oriented branching levels (the paper's d;
-  *                  level-1 is depth 1). 0 for vertex-oriented level-1.
+  *                  level-1 is depth 1). 0 for vertex-oriented level-1,
+  *                  which takes at most 1.
   * @param etT       early-termination t-plex parameter t, 0 to 3 (0 = off)
-  * @param gr        graph reduction preprocessing
   */
 final case class MceConfig(
     level1: Level1,
     inner: Kernels.Variant = Kernels.Pivot,
     edgeDepth: Int = 1,
-    etT: Int = 0,
-    gr: Boolean = true
+    etT: Int = 0
 ) extends Serializable {
   require(0 <= etT && etT <= 3, s"etT = $etT: early termination needs a t-plex with 0 <= t <= 3")
+  require(edgeDepth <= 1 || level1.isInstanceOf[Level1.EdgeOrdered],
+    s"edgeDepth = $edgeDepth needs an edge-ordered level1, not $level1: vertex branches carry " +
+      "no pair ranks to branch on edges below level 1")
   def kernelConfig: Kernels.KernelConfig = Kernels.KernelConfig(inner, etT, edgeDepth)
 }
 
 object MceConfig {
   import Kernels._
-  val hbbmcPP: MceConfig = MceConfig(Level1.EdgeOrdered(EdgeOrderKind.Truss), Pivot, 1, 3, gr = true)
+  val hbbmcPP: MceConfig = MceConfig(Level1.EdgeOrdered(EdgeOrderKind.Truss), Pivot, 1, 3)
   val hbbmcP: MceConfig = hbbmcPP.copy(etT = 0)
-  val rRef: MceConfig = MceConfig(Level1.VertexDegeneracy, Ref, 0, 0, gr = true)
-  val rDegen: MceConfig = MceConfig(Level1.VertexDegeneracy, Pivot, 0, 0, gr = true)
-  val rRcd: MceConfig = MceConfig(Level1.VertexDegeneracy, Rcd, 0, 0, gr = true)
-  val rFac: MceConfig = MceConfig(Level1.VertexDegeneracy, Fac, 0, 0, gr = true)
+  val rRef: MceConfig = MceConfig(Level1.VertexDegeneracy, Ref, 0, 0)
+  val rDegen: MceConfig = MceConfig(Level1.VertexDegeneracy, Pivot, 0, 0)
+  val rRcd: MceConfig = MceConfig(Level1.VertexDegeneracy, Rcd, 0, 0)
+  val rFac: MceConfig = MceConfig(Level1.VertexDegeneracy, Fac, 0, 0)
   val refPP: MceConfig = hbbmcPP.copy(inner = Ref)
   val rcdPP: MceConfig = hbbmcPP.copy(inner = Rcd)
   val facPP: MceConfig = hbbmcPP.copy(inner = Fac)
   def hbbmcDepth(d: Int): MceConfig = hbbmcPP.copy(edgeDepth = d)
   def hbbmcT(t: Int): MceConfig = hbbmcPP.copy(etT = t)
-  val vbbmcDgn: MceConfig = MceConfig(Level1.VertexDegeneracy, Pivot, 0, 3, gr = true)
+  val vbbmcDgn: MceConfig = MceConfig(Level1.VertexDegeneracy, Pivot, 0, 3)
   val hbbmcDgn: MceConfig = hbbmcPP.copy(level1 = Level1.EdgeOrdered(EdgeOrderKind.DegenLex))
   val hbbmcMdg: MceConfig = hbbmcPP.copy(level1 = Level1.EdgeOrdered(EdgeOrderKind.MinDeg))
   /** Pure EBBMC: edge-oriented branching all the way down, with ET. */
@@ -70,19 +74,19 @@ object MceConfig {
       s"unknown config $name; known: ${named.map(_._1).mkString(", ")}"))
 }
 
-/** Precomputed, broadcast-able state of one enumeration: the (possibly
-  * reduced) graph with GR's closed edges, orderings, and the cliques GR
-  * emitted directly.
+/** Precomputed, broadcast-able state of one enumeration: the reduced
+  * graph with GR's closed edges, orderings, and the cliques GR emitted
+  * directly.
   */
 final class Prepared(
     val reduced: LocalGraph,
     val oldId: Array[Int],
-    val closed: Array[Boolean], // per reduced edge: GR's closed flag (all false without GR)
+    val closed: Array[Boolean], // per reduced edge: GR's closed flag
     val cfg: MceConfig,
     val edgeRank: Array[Int], // null unless level-1 is edge-ordered
     val orderBound: Int,      // τ for truss; achieved bound otherwise
     val degenPos: Array[Int], // null unless level-1 is vertex-oriented
-    val directCliques: Array[Array[Int]], // original ids, from GR / isolated
+    val directCliques: Array[Array[Int]], // original ids, from GR
     // Edge-ordered level-1 branches grouped by anchor vertex (CSR):
     // anchorVerts(i) anchors edges anchorEdges(anchorOff(i) until anchorOff(i+1)).
     val anchorVerts: Array[Int],
@@ -105,17 +109,17 @@ object Engine {
 
   def prepare(g: LocalGraph, cfg: MceConfig): Prepared = {
     val direct = new CollectSink
-    val gr = if (cfg.gr) GraphReduction.reduce(g, direct) else null
-    val reduced = if (gr == null) g else gr.reduced
-    val oldId = if (gr == null) Array.tabulate(g.n)(identity) else gr.oldId
-    val closed = if (gr == null) new Array[Boolean](g.m) else gr.closed
+    val gr = GraphReduction.reduce(g, direct)
+    val reduced = gr.reduced
     // GR peels its input; when it removed nothing, that peel is the reduced
     // graph's, and no ordering peels again.
-    lazy val degen =
-      if (gr != null && !gr.removedAny) gr.degeneracy else Degeneracy.compute(reduced)
+    lazy val degen = if (gr.removedAny) Degeneracy.compute(reduced) else gr.degeneracy
     var edgeRank: Array[Int] = null
     var bound = 0
     var degenPos: Array[Int] = null
+    var anchorVerts: Array[Int] = Array.emptyIntArray
+    var anchorOff: Array[Int] = Array.emptyIntArray
+    var anchorEdges: Array[Int] = Array.emptyIntArray
     cfg.level1 match {
       case Level1.VertexDegeneracy =>
         degenPos = degen.pos
@@ -127,54 +131,33 @@ object Engine {
         }
         edgeRank = res.rank
         bound = res.bound
-        if (!cfg.gr) {
-          // Without GR, isolated vertices are 1-clique maximal cliques that
-          // edge branching cannot reach (paper Eq. 3 at the initial branch).
-          var v = 0
-          while (v < reduced.n) {
-            if (reduced.degree(v) == 0) direct.cliques += Array(v)
-            v += 1
+        // Group the edge branches by an anchor endpoint (the smaller-degree
+        // one, the smaller id on a tie) so the anchor's neighborhood
+        // structures are built once per vertex. A vertex's adjacency slots
+        // ascend by neighbour id and so by edge id: one pass over the CSR
+        // lists each anchor's edges in ascending id.
+        val verts = new Array[Int](reduced.n)
+        val off = new Array[Int](reduced.n + 1)
+        anchorEdges = new Array[Int](reduced.m)
+        var groups = 0
+        var k = 0
+        var u = 0
+        while (u < reduced.n) {
+          val du = reduced.degree(u)
+          var p = reduced.offsets(u)
+          while (p < reduced.offsets(u + 1)) {
+            val w = reduced.adj(p)
+            val dw = reduced.degree(w)
+            if (du < dw || (du == dw && u < w)) { anchorEdges(k) = reduced.adjEdge(p); k += 1 }
+            p += 1
           }
+          if (k > off(groups)) { verts(groups) = u; groups += 1; off(groups) = k }
+          u += 1
         }
+        anchorVerts = java.util.Arrays.copyOf(verts, groups)
+        anchorOff = java.util.Arrays.copyOf(off, groups + 1)
     }
-    // Group the edge branches by an anchor endpoint (the smaller-degree one)
-    // so the anchor's neighborhood structures are built once per vertex.
-    var anchorVerts: Array[Int] = Array.emptyIntArray
-    var anchorOff: Array[Int] = Array.emptyIntArray
-    var anchorEdges: Array[Int] = Array.emptyIntArray
-    if (edgeRank != null) {
-      val m = reduced.m
-      val anchorOf = new Array[Int](m)
-      val cnt = new Array[Int](reduced.n)
-      var e = 0
-      while (e < m) {
-        val a = reduced.eu(e); val b = reduced.ev(e)
-        val anchor =
-          if (reduced.degree(a) < reduced.degree(b)) a
-          else if (reduced.degree(a) > reduced.degree(b)) b
-          else math.min(a, b)
-        anchorOf(e) = anchor
-        cnt(anchor) += 1
-        e += 1
-      }
-      anchorVerts = (0 until reduced.n).filter(cnt(_) > 0).toArray
-      anchorOff = new Array[Int](anchorVerts.length + 1)
-      val slot = new Array[Int](reduced.n)
-      var i = 0
-      while (i < anchorVerts.length) {
-        anchorOff(i + 1) = anchorOff(i) + cnt(anchorVerts(i))
-        slot(anchorVerts(i)) = anchorOff(i)
-        i += 1
-      }
-      anchorEdges = new Array[Int](m)
-      e = 0
-      while (e < m) {
-        anchorEdges(slot(anchorOf(e))) = e
-        slot(anchorOf(e)) += 1
-        e += 1
-      }
-    }
-    new Prepared(reduced, oldId, closed, cfg, edgeRank, bound, degenPos, direct.cliques.toArray,
+    new Prepared(reduced, gr.oldId, gr.closed, cfg, edgeRank, bound, degenPos, direct.cliques.toArray,
       anchorVerts, anchorOff, anchorEdges)
   }
 
@@ -268,8 +251,8 @@ object Engine {
 /** Maps reduced-graph ids back to original ids and drops the (rare)
   * 2-cliques whose edge GR closed: a removed vertex is adjacent to both, so
   * they are not maximal in the original graph. No other emission is: a
-  * removed vertex has at most two later neighbours, and with GR the reduced
-  * graph has no isolated vertex (see DESIGN.md §4).
+  * removed vertex has at most two later neighbours, and the reduced graph,
+  * a 3-core, has no isolated vertex (see DESIGN.md §4).
   */
 final class TranslateFilterSink(prep: Prepared, inner: CliqueSink) extends CliqueSink {
   private val tmp = new Array[Int](prep.reduced.n + 8)

@@ -112,10 +112,11 @@ object Kernels {
     }
 
     /** Branch on edges while `level` is within the edge depth, on vertices
-      * after it.
+      * after it. An edge depth of 2 or more implies an edge-ordered level 1
+      * (`MceConfig` checks it), whose branches carry `localRank`.
       */
     def dispatch(c: Array[Long], x: Array[Long], level: Int): Unit =
-      if (level <= cfg.edgeDepth && bg.localRank != null) edgeRec(c, x, level)
+      if (level <= cfg.edgeDepth) edgeRec(c, x, level)
       else vertexRec(c, x)
 
     /** Run the configured vertex variant; restore the rows in force, which

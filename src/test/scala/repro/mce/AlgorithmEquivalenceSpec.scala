@@ -5,8 +5,8 @@ import repro.graph.{Degeneracy, GraphGen, LocalGraph}
 import scala.util.Random
 
 /** The heart of the correctness story: every production configuration —
-  * HBBMC/EBBMC/VBBMC level-1 splits × inner variants × ET × GR × orderings
-  * × edge depths — must produce exactly the clique set of the trusted plain
+  * HBBMC/EBBMC/VBBMC level-1 splits × inner variants × ET × orderings ×
+  * edge depths — must produce exactly the clique set of the trusted plain
   * Bron–Kerbosch reference, on special graphs and on many random graphs.
   */
 class AlgorithmEquivalenceSpec extends SparkSpec {
@@ -14,22 +14,15 @@ class AlgorithmEquivalenceSpec extends SparkSpec {
   private val configs: Seq[(String, MceConfig)] = Seq(
     "HBBMC++" -> MceConfig.hbbmcPP,
     "HBBMC+" -> MceConfig.hbbmcP,
-    "HBBMC++ noGR" -> MceConfig.hbbmcPP.copy(gr = false),
-    "HBBMC+ noGR" -> MceConfig.hbbmcP.copy(gr = false),
     "RRef" -> MceConfig.rRef,
     "RDegen" -> MceConfig.rDegen,
     "RRcd" -> MceConfig.rRcd,
     "RFac" -> MceConfig.rFac,
-    "RDegen noGR" -> MceConfig.rDegen.copy(gr = false),
-    "RRcd noGR" -> MceConfig.rRcd.copy(gr = false),
-    "RFac noGR" -> MceConfig.rFac.copy(gr = false),
-    "RRef noGR" -> MceConfig.rRef.copy(gr = false),
     "Ref++" -> MceConfig.refPP,
     "Rcd++" -> MceConfig.rcdPP,
     "Fac++" -> MceConfig.facPP,
     "HBBMC d=2" -> MceConfig.hbbmcDepth(2),
     "HBBMC d=3" -> MceConfig.hbbmcDepth(3),
-    "HBBMC d=2 noGR" -> MceConfig.hbbmcDepth(2).copy(gr = false),
     "HBBMC t=1" -> MceConfig.hbbmcT(1),
     "HBBMC t=2" -> MceConfig.hbbmcT(2),
     "VBBMC-dgn" -> MceConfig.vbbmcDgn,
@@ -37,7 +30,6 @@ class AlgorithmEquivalenceSpec extends SparkSpec {
     "HBBMC-mdg" -> MceConfig.hbbmcMdg,
     "EBBMC" -> MceConfig.ebbmc,
     "EBBMC noET" -> MceConfig.ebbmcNoEt,
-    "EBBMC noGR" -> MceConfig.ebbmc.copy(gr = false)
   )
 
   private def check(name: String, g: LocalGraph): Unit = {

@@ -96,7 +96,7 @@ class EarlyTerminationSpec extends SparkSpec {
     val removed = chain(60, 66, 63, 64, 61, 67) ++ chain(127, 128, 129, 127) ++
       chain(0, 70, 140, 5, 0) ++ chain(10, 75, 131, 20, 85, 136, 30, 10) ++ Seq((40, 141))
     val g = TestGraphs.completeMinus(142, removed)
-    val want = Engine.collectLocal(g, MceConfig.rDegen.copy(gr = false))._1
+    val want = Engine.collectLocal(g, MceConfig.rDegen)._1
     assert(want.size == 420)
     assert(etCliques(g) == want)
     // EBBMC is left out: branching on edges all the way down does not

@@ -58,30 +58,48 @@ class EngineSpec extends SparkSpec {
 
   test("level-1 units: anchor groups covering all edges for HBBMC, vertices for VBBMC") {
     val g = GraphGen.randomGnp(40, 0.3, 9)
-    val prepE = Engine.prepare(g, MceConfig.hbbmcPP.copy(gr = false))
-    assert(prepE.anchorEdges.length == g.m)
-    assert(prepE.anchorEdges.toSeq.sorted == (0 until g.m))
+    val prepE = Engine.prepare(g, MceConfig.hbbmcPP)
+    val m = prepE.reduced.m
+    assert(m > 0)
+    assert(prepE.anchorEdges.toSeq.sorted == (0 until m))
     assert(prepE.units == prepE.anchorVerts.length)
-    assert(prepE.anchorOff.last == g.m)
-    val prepV = Engine.prepare(g, MceConfig.rDegen.copy(gr = false))
-    assert(prepV.units == g.n)
+    assert(prepE.anchorOff.last == m)
+    val prepV = Engine.prepare(g, MceConfig.rDegen)
+    assert(prepV.units == prepV.reduced.n)
   }
 
-  test("GR shrinks the level-1 unit count") {
-    val g = GraphGen.randomGnp(80, 0.06, 10)
-    val withGr = Engine.prepare(g, MceConfig.hbbmcPP)
-    val noGr = Engine.prepare(g, MceConfig.hbbmcPP.copy(gr = false))
-    assert(withGr.units <= noGr.units)
+  test("each reduced edge is anchored once, at its smaller-degree endpoint, in ascending order") {
+    for (cfg <- GraphGen.paperSuite) {
+      val prep = Engine.prepare(GraphGen.generate(cfg), MceConfig.hbbmcDgn)
+      val r = prep.reduced
+      val (verts, off, edges) = (prep.anchorVerts, prep.anchorOff, prep.anchorEdges)
+      assert(edges.sorted.toSeq == (0 until r.m), cfg.name)
+      assert(off.length == verts.length + 1 && off.head == 0 && off.last == r.m, cfg.name)
+      assert(verts.indices.forall(i => off(i) < off(i + 1) && (i == 0 || verts(i - 1) < verts(i))),
+        s"${cfg.name}: anchors do not ascend, or a group is empty")
+      // (anchor, edge) pairs that break the rule, or an edge not above its predecessor
+      val bad = verts.indices.iterator.flatMap { i =>
+        val u = verts(i)
+        (off(i) until off(i + 1)).iterator.filterNot { k =>
+          val e = edges(k)
+          val w = if (r.eu(e) == u) r.ev(e) else r.eu(e)
+          (r.eu(e) == u || r.ev(e) == u) &&
+            (r.degree(u) < r.degree(w) || (r.degree(u) == r.degree(w) && u < w)) &&
+            (k == off(i) || edges(k - 1) < e)
+        }.map(k => (u, edges(k)))
+      }.take(3).toList
+      assert(bad.isEmpty, s"${cfg.name}: misplaced (anchor, edge) pairs $bad")
+    }
   }
 
   test("order bound is recorded (tau for truss)") {
     val g = GraphGen.randomGnp(50, 0.3, 11)
-    val prep = Engine.prepare(g, MceConfig.hbbmcPP.copy(gr = false))
-    assert(prep.orderBound == repro.graph.EdgeOrders.truss(g).bound)
+    val prep = Engine.prepare(g, MceConfig.hbbmcPP)
+    assert(prep.orderBound == repro.graph.EdgeOrders.truss(prep.reduced).bound)
   }
 
   test("presets match the paper's algorithm naming") {
-    assert(MceConfig.hbbmcPP.etT == 3 && MceConfig.hbbmcPP.gr)
+    assert(MceConfig.hbbmcPP.etT == 3)
     assert(MceConfig.hbbmcP.etT == 0)
     assert(MceConfig.rDegen.level1 == Level1.VertexDegeneracy)
     assert(MceConfig.rDegen.inner == Kernels.Pivot)
@@ -107,6 +125,12 @@ class EngineSpec extends SparkSpec {
     assert(four.getMessage.contains("etT = 4"), four.getMessage)
     val minus = intercept[IllegalArgumentException](MceConfig.hbbmcPP.copy(etT = -1))
     assert(minus.getMessage.contains("etT = -1"), minus.getMessage)
+  }
+
+  test("an edge depth that vertex level-1 branches cannot use is rejected when the config is built") {
+    val e = intercept[IllegalArgumentException](MceConfig.rDegen.copy(edgeDepth = 2))
+    assert(e.getMessage.contains("edgeDepth = 2") && e.getMessage.contains("level1"), e.getMessage)
+    assert(MceConfig.rDegen.copy(edgeDepth = 1).edgeDepth == 1)
   }
 
   /** Two hubs (0 and 1, adjacent) sharing `k` leaves, the leaves linked in
@@ -158,15 +182,22 @@ class EngineSpec extends SparkSpec {
     assert(DistMCE.runCollect(spark, g, MceConfig.hbbmcPP)._1 == expected)
   }
 
-  test("singleton-only graph via the edge split without GR") {
-    val g = LocalGraph.empty(4)
-    val (cliques, _) = Engine.collectLocal(g, MceConfig.hbbmcPP.copy(gr = false))
-    assert(cliques == Vector(Vector(0), Vector(1), Vector(2), Vector(3)))
-  }
-
-  test("vertex split emits singletons naturally") {
-    val g = TestGraphs.of(4, (0, 1))
-    val (cliques, _) = Engine.collectLocal(g, MceConfig.rDegen.copy(gr = false))
-    assert(cliques == Vector(Vector(0, 1), Vector(2), Vector(3)))
+  test("the kernels recurse on a planted clique within a 1 MB thread stack") {
+    // A Spark executor thread gets the JVM's default stack, not a -Xss flag.
+    // Vertex kernels recurse once per clique vertex; edge branching without
+    // ET is exponential in the clique size, so it gets a smaller clique.
+    def planted(k: Int) = GraphGen.generate(GraphGen.DatasetConfig("P", "planted", 1000, 3, 1, k, k, 0, 12))
+    val runs = Seq(500 -> Seq(MceConfig.rDegen, MceConfig.rRcd), 20 -> Seq(MceConfig.rDegen, MceConfig.ebbmcNoEt))
+    var failure: Throwable = null
+    val t = new Thread(null, () =>
+      try for ((k, configs) <- runs) {
+        val g = planted(k)
+        val results = configs.map(Engine.collectLocal(g, _))
+        assert(results.forall(_._1 == results.head._1), s"k = $k")
+        assert(results.forall(_._2.maxSize == k), s"k = $k")
+      } catch { case e: Throwable => failure = e }, "mce-1mb", 1L << 20)
+    t.start()
+    t.join()
+    assert(failure == null, s"failed on a 1 MB stack: $failure")
   }
 }
