@@ -174,18 +174,20 @@ object EdgeOrders {
   def minDegree(g: LocalGraph): EdgeOrderResult = {
     val keys = Array.tabulate(g.m) { e =>
       val d = math.min(g.degree(g.eu(e)), g.degree(g.ev(e))).toLong
-      (d << 32) | e.toLong // edge id tie-break keeps the sort stable
+      (d << 32) | e.toLong // the edge id breaks ties and keeps keys distinct
     }
     fromKeys(g, keys)
   }
 
+  /** Rank the edges by `keys`, which are distinct: an edge's rank is the
+    * index of its key in the sorted keys.
+    */
   private def fromKeys(g: LocalGraph, keys: Array[Long]): EdgeOrderResult = {
-    val ids = Array.tabulate(g.m)(identity)
-    val boxed = ids.map(Integer.valueOf)
-    java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => java.lang.Long.compare(keys(a), keys(b)))
+    val sorted = keys.clone()
+    java.util.Arrays.sort(sorted)
     val rank = new Array[Int](g.m)
-    var i = 0
-    while (i < g.m) { rank(boxed(i)) = i; i += 1 }
+    var e = 0
+    while (e < g.m) { rank(e) = java.util.Arrays.binarySearch(sorted, keys(e)); e += 1 }
     EdgeOrderResult(rank, achievedBound(g, rank))
   }
 

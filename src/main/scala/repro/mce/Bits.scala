@@ -37,22 +37,6 @@ object Bits {
     -1
   }
 
-  /** Iterate set bits in ascending order. Each word is read once, before
-    * its bits are visited, so `f` may clear bits of `a`.
-    */
-  def foreachBit(a: Array[Long])(f: Int => Unit): Unit = {
-    var i = 0
-    while (i < a.length) {
-      var w = a(i)
-      while (w != 0L) {
-        val b = java.lang.Long.numberOfTrailingZeros(w)
-        f((i << 6) + b)
-        w &= w - 1
-      }
-      i += 1
-    }
-  }
-
   // ---- row variants: the second operand lives at `off` inside a flat
   // row-major matrix (BranchGraph stores adjacency this way so a branch
   // costs two allocations instead of one per vertex).

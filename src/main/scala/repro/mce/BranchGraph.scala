@@ -17,10 +17,14 @@ import repro.graph.LocalGraph
   * vertex branch puts its candidates first and builds only their rows
   * (`rowsEnd = |C|`), as the kernels never consult X×X adjacency.
   *
+  * A level-1 build reads and writes the buffers of its workspace `ws`, so a
+  * branch it returns is valid until the next level-1 build on `ws`.
+  *
   * @param localRank row-major rank matrix (stride `nLoc`) of the local
   *                  candidate pairs, for edge-branching below level 1
   *                  (Table IV, d ≥ 2); null when only vertex kernels run.
   *                  Cells of non-adjacent pairs are never read.
+  * @param ws        the workspace whose `Solver` runs the branch's kernels
   */
 final class BranchGraph(
     val nLoc: Int,
@@ -28,47 +32,73 @@ final class BranchGraph(
     val survFlat: Array[Long],
     val fullFlat: Array[Long],
     val globalIds: Array[Int],
-    val localRank: Array[Int]
+    val localRank: Array[Int],
+    val ws: Workspace
 )
 
-/** Reusable per-thread scratch for level-1 construction: a vertex branch's
-  * layout buffer, global-id marks and the shared neighborhood matrices.
+/** Reusable per-thread scratch for level-1 construction and the kernels:
+  * a vertex branch's layout buffer, global-id marks, the neighborhood
+  * matrices, a branch's C, X, S prefix and dropped rows, and the one
+  * `Kernels.Solver`. Everything is sized once, for neighborhoods of up to
+  * `maxDegree` vertices (with an nLoc × nLoc pair-rank matrix when
+  * `ranks`), or grows to the largest branch; what a level-1 build writes is
+  * valid until the next level-1 build.
   */
-final class Workspace(n: Int) {
-  val idsBuf = new Array[Int](n)
+final class Workspace(n: Int, maxDegree: Int, ranks: Boolean) {
+  private val maxWords = Bits.words(maxDegree)
+  if (ranks) {
+    val cells = maxDegree.toLong * maxDegree
+    require(cells <= Workspace.MaxAnchorCells,
+      s"an anchor of degree $maxDegree needs a $cells-cell pair-rank matrix; at most " +
+        s"${Workspace.MaxAnchorCells} cells (degree ${Workspace.MaxAnchorDegree}) fit in one array")
+  }
+  private val rowWords = maxDegree.toLong * maxWords
+  require(rowWords <= Int.MaxValue,
+    s"a neighborhood of degree $maxDegree needs a $rowWords-word adjacency matrix; at most " +
+      s"${Int.MaxValue} words fit in one array")
+
+  val idsBuf = new Array[Int](maxDegree)
   // global-id → local index marks (stamped, no clearing needed)
   private val markStamp = new Array[Int](n)
   val markLocal = new Array[Int](n)
   private var stamp = 0
-  // shared neighborhood matrices, grown on demand and reused
-  var hFlat = new Array[Long](1024)
-  var hRank = new Array[Int](4096)
+  /** The neighborhood matrices of the last `neighborhood` call. */
+  val hFlat = new Array[Long](rowWords.toInt)
+  val hRank = new Array[Int](if (ranks) maxDegree * maxDegree else 0)
+
+  /** An edge branch's rows with its consumed pairs dropped. */
+  private[mce] val survRows = new Array[Long](if (ranks) rowWords.toInt else 0)
+  /** A level-1 branch's S prefix: {u, v} for an edge, {v} for a vertex. */
+  private[mce] val pair = new Array[Int](2)
+  private[mce] val single = new Array[Int](1)
+  private[mce] val pairClique = BranchResult.Trivial(pair)
+  // a level-1 branch's C and X, one of each word width
+  private val cSets = new Array[Array[Long]](maxWords + 1)
+  private val xSets = new Array[Array[Long]](maxWords + 1)
+  private[mce] def cSet(width: Int): Array[Long] = setOf(cSets, width)
+  private[mce] def xSet(width: Int): Array[Long] = setOf(xSets, width)
+  private def setOf(sets: Array[Array[Long]], width: Int): Array[Long] = {
+    if (sets(width) == null) sets(width) = new Array[Long](width)
+    sets(width)
+  }
+
+  private[mce] val solver = new Kernels.Solver
 
   /** The one builder of level-1 neighborhood adjacency. Marks each
     * `ids(i)`, i < `nLoc`, with local index i in `markLocal`, and sets in
     * `hFlat` (rows of `words` longs) both cells of every adjacent pair
     * (i, q) with i < `rowsEnd` and q > i; all other cells are zero. With
     * `rank` non-null it also writes the pair's global edge rank into both
-    * cells of `hRank` (stride `nLoc`; other cells keep stale values). Either
-    * matrix may be replaced by a larger one, so read them after this call.
+    * cells of `hRank` (stride `nLoc`; other cells keep stale values).
     */
   def neighborhood(g: LocalGraph, ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int,
                    rank: Array[Int]): Unit = {
-    if (rank != null) {
-      val cells = nLoc.toLong * nLoc
-      require(cells <= Workspace.MaxAnchorCells,
-        s"an anchor of degree $nLoc needs a $cells-cell pair-rank matrix; at most " +
-          s"${Workspace.MaxAnchorCells} cells (degree ${Workspace.MaxAnchorDegree}) fit in one array")
-      if (hRank.length < cells) hRank = new Array[Int](math.max(cells.toInt, hRank.length * 2))
-    }
-    val rowWords = nLoc.toLong * words
-    require(rowWords <= Int.MaxValue,
-      s"a neighborhood of degree $nLoc needs a $rowWords-word adjacency matrix; at most " +
-        s"${Int.MaxValue} words fit in one array")
-    if (hFlat.length < rowWords) hFlat = new Array[Long](math.max(rowWords.toInt, hFlat.length * 2))
+    if (nLoc > maxDegree || (rank != null && !ranks))
+      throw new IllegalArgumentException(
+        s"a neighborhood of degree $nLoc does not fit a workspace sized for degree $maxDegree (ranks: $ranks)")
     val h = hFlat
     val hr = hRank
-    java.util.Arrays.fill(h, 0, rowWords.toInt, 0L)
+    java.util.Arrays.fill(h, 0, nLoc * words, 0L)
     def link(i: Int, q: Int, slot: Int): Unit = {
       Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
       if (rank != null) {
@@ -114,11 +144,15 @@ object Workspace {
 
 /** Outcome of building a level-1 branch. `Trivial` carries the clique to
   * emit (or null for a dead branch) without any graph materialization.
+  * The arrays of either case are workspace buffers, valid until the next
+  * level-1 build on the same workspace.
   */
 sealed trait BranchResult
 object BranchResult {
   final case class Trivial(emit: Array[Int]) extends BranchResult
   final case class Branch(bg: BranchGraph, c: Array[Long], x: Array[Long], s: Array[Int]) extends BranchResult
+  /** A branch whose candidates are all excluded. */
+  val dead: Trivial = Trivial(null)
 }
 
 /** Shared state for all level-1 edge branches anchored at one vertex `u`.
@@ -138,9 +172,10 @@ object BranchResult {
   *  - survival of a candidate pair (rank > rank(e)) is one matrix read.
   *
   * The matrices live in the per-thread [[Workspace]] and are reused across
-  * anchors, so a branch allocates only its C/X sets, plus, in the uncommon
-  * case that some candidate pair is already consumed, a fresh nLoc × words
-  * surviving matrix that holds C's rows (`BranchGraph.dropConsumed`).
+  * anchors, and so do a branch's C, X, S prefix and, in the uncommon case
+  * that some candidate pair is already consumed, its surviving rows
+  * (`BranchGraph.dropConsumed`): a branch allocates only its `BranchGraph`
+  * and `Branch` records, and each is valid until the next branch is built.
   */
 final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
                           needRanks: Boolean, ws: Workspace) {
@@ -164,8 +199,6 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
     while (i < nLoc) { out(i) = keys(i).toInt; i += 1 }
     out
   }
-  // The builder may replace the shared matrices with larger ones, so
-  // capture them only afterwards.
   ws.neighborhood(g, ids, nLoc, nLoc, words, rank)
   private val h = ws.hFlat
   private val hRank = ws.hRank
@@ -186,34 +219,36 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
     var empty = true
     var i = 0
     while (empty && i < words) { if (h(rowV + i) != 0L) empty = false; i += 1 }
-    if (empty) return BranchResult.Trivial(Array(u, v))
+    ws.pair(0) = u; ws.pair(1) = v
+    if (empty) return ws.pairClique
     // Candidates live in the prefix [0, vL): rank(u,w) > r there; keep those
     // with rank(v,w) > r too.
     val cWords = Bits.words(math.max(1, vL))
-    val c = new Array[Long](cWords)
+    val c = ws.cSet(cWords)
     var cCount = 0
     i = 0
     while (i < cWords) {
       var word = h(rowV + i)
       if ((i + 1) * 64 > vL) word &= (if ((vL & 63) == 0) 0L else -1L >>> (64 - (vL & 63)))
+      var kept = 0L
       while (word != 0L) {
         val b = java.lang.Long.numberOfTrailingZeros(word)
-        val w = (i << 6) + b
-        if (hRank(vL * nLoc + w) > r) { Bits.set(c, w); cCount += 1 }
+        if (hRank(vL * nLoc + (i << 6) + b) > r) { kept |= 1L << b; cCount += 1 }
         word &= word - 1
       }
+      c(i) = kept
       i += 1
     }
-    val x = new Array[Long](words)
+    if (cCount == 0) return BranchResult.dead // all excluded
+    val x = ws.xSet(words)
     i = 0
     while (i < words) {
       x(i) = h(rowV + i) & ~(if (i < cWords) c(i) else 0L)
       i += 1
     }
-    if (cCount == 0) return BranchResult.Trivial(null) // all excluded: dead
-    val surv = BranchGraph.dropConsumed(h, nLoc, words, c, hRank, r)
-    val bg = new BranchGraph(nLoc, words, surv, h, ids, localRanks)
-    BranchResult.Branch(bg, c, x, Array(u, v))
+    val surv = BranchGraph.dropConsumed(h, nLoc, words, c, hRank, r, ws.survRows)
+    val bg = new BranchGraph(nLoc, words, surv, h, ids, localRanks, ws)
+    BranchResult.Branch(bg, c, x, ws.pair)
   }
 }
 
@@ -223,14 +258,15 @@ object BranchGraph {
     * branch of an edge of rank `r` is taken, no pair ranked at or below `r`
     * may be used again. Returns `rows` itself when no pair inside `c` that
     * is adjacent in `rows` has rank ≤ r (`ranks` is row-major, stride
-    * `nLoc`); otherwise a fresh matrix holding `c`'s rows of `rows` with
-    * exactly those pairs cleared (all other rows empty). Its callers are
+    * `nLoc`); otherwise `out` (at least nLoc × words longs, not `rows`) with
+    * `c`'s rows of `rows` copied in and exactly those pairs cleared. Other
+    * rows of `out` are not written and must not be read. Its callers are
     * [[AnchorContext.branch]], for a level-1 branch, and every edge step of
     * `Kernels.edgeRec`, for the step's child.
     */
   def dropConsumed(rows: Array[Long], nLoc: Int, words: Int, c: Array[Long],
-                   ranks: Array[Int], r: Int): Array[Long] = {
-    var out = rows
+                   ranks: Array[Int], r: Int, out: Array[Long]): Array[Long] = {
+    var dropped = rows
     var i = 0
     while (i < c.length) {
       var word = c(i)
@@ -246,9 +282,9 @@ object BranchGraph {
             val b = (k << 6) + java.lang.Long.numberOfTrailingZeros(pair)
             pair &= pair - 1
             if (ranks(a * nLoc + b) <= r) {
-              if (out eq rows) {
-                out = new Array[Long](nLoc * words)
+              if (dropped eq rows) {
                 copyRows(rows, out, words, c)
+                dropped = out
               }
               Bits.clear2d(out, a * words, b)
               Bits.clear2d(out, b * words, a)
@@ -259,7 +295,7 @@ object BranchGraph {
       }
       i += 1
     }
-    out
+    dropped
   }
 
   private def copyRows(from: Array[Long], to: Array[Long], words: Int, c: Array[Long]): Unit = {
@@ -278,7 +314,8 @@ object BranchGraph {
   /** Branch for level-1 *vertex* branching at vertex `v` under the
     * degeneracy order (BK_Degen-style split): universe = N(v); candidates =
     * neighbors later in the order, exclusions = earlier. Single adjacency in
-    * the workspace's `hFlat`, valid until the next level-1 build. `g` is
+    * the workspace's `hFlat`; the branch, like its C, X and S, lives in
+    * workspace buffers and is valid until the next level-1 build. `g` is
     * GR's reduced graph, a 3-core, so `v` is never isolated.
     */
   def forVertexBranch(g: LocalGraph, pos: Array[Int], v: Int, ws: Workspace): BranchResult = {
@@ -287,7 +324,7 @@ object BranchGraph {
     var cCount = 0
     var p = start
     while (p < start + nLoc) { if (pos(g.adj(p)) > pos(v)) cCount += 1; p += 1 }
-    if (cCount == 0) return BranchResult.Trivial(null) // all neighbors earlier: dead
+    if (cCount == 0) return BranchResult.dead // all neighbors earlier
     // Layout: candidates, then exclusions, each in ascending id (pivot ties
     // follow it).
     val ids = ws.idsBuf
@@ -300,11 +337,14 @@ object BranchGraph {
     }
     val words = Bits.words(nLoc)
     ws.neighborhood(g, ids, nLoc, cCount, words, null)
-    val c = new Array[Long](Bits.words(cCount))
+    val c = ws.cSet(Bits.words(cCount))
+    java.util.Arrays.fill(c, 0L)
     var i = 0
     while (i < cCount) { Bits.set(c, i); i += 1 }
-    val x = new Array[Long](words)
+    val x = ws.xSet(words)
+    java.util.Arrays.fill(x, 0L)
     while (i < nLoc) { Bits.set(x, i); i += 1 }
-    BranchResult.Branch(new BranchGraph(nLoc, words, ws.hFlat, ws.hFlat, ids, null), c, x, Array(v))
+    ws.single(0) = v
+    BranchResult.Branch(new BranchGraph(nLoc, words, ws.hFlat, ws.hFlat, ids, null, ws), c, x, ws.single)
   }
 }

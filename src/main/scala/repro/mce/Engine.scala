@@ -167,8 +167,27 @@ object Engine {
   def translatingSink(prep: Prepared, sink: CliqueSink): CliqueSink =
     new TranslateFilterSink(prep, sink)
 
-  /** Allocate the reusable construction scratch; one per run / partition. */
-  def workspace(prep: Prepared): Workspace = new Workspace(math.max(1, prep.reduced.n))
+  /** Allocate the reusable construction and kernel scratch, sized for
+    * every unit of `prep`; one per run / partition.
+    */
+  def workspace(prep: Prepared): Workspace = workspace(prep, Array.range(0, prep.units))
+
+  /** The scratch for solving `units`: its neighborhood matrices are sized
+    * once, for the largest anchor (or, with a vertex level 1, vertex)
+    * degree among them, so a stripe without a hub allocates no hub-sized
+    * matrix.
+    */
+  private def workspace(prep: Prepared, units: Array[Int]): Workspace = {
+    val edges = prep.edgeRank != null
+    var maxDegree = 0
+    var i = 0
+    while (i < units.length) {
+      val v = if (edges) prep.anchorVerts(units(i)) else units(i)
+      maxDegree = math.max(maxDegree, prep.reduced.degree(v))
+      i += 1
+    }
+    new Workspace(math.max(1, prep.reduced.n), maxDegree, ranks = edges)
+  }
 
   /** Solve the level-1 `units` of `prep` in order on the calling thread,
     * emitting their cliques (original ids) to `sink`. This is the one runner
@@ -179,7 +198,7 @@ object Engine {
     val counting = new CountingSink
     val counters = new Counters
     val translated = translatingSink(prep, new TeeSink(counting, sink))
-    val ws = workspace(prep)
+    val ws = workspace(prep, units)
     var i = 0
     while (i < units.length) {
       solveUnit(prep, units(i), ws, counters, translated)

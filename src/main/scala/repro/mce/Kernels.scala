@@ -29,6 +29,9 @@ package repro.mce
   * C are recorded once, in the `Solver`'s rows in force (DESIGN.md §4).
   * When the scan finds no consumed pair inside C, those rows become the full
   * rows for the whole subtree, and every dual-graph check there is skipped.
+  *
+  * Each [[Workspace]] owns one `Solver`, which runs every branch solved on
+  * that workspace and reuses its buffers, so no kernel call allocates.
   */
 object Kernels {
 
@@ -41,8 +44,9 @@ object Kernels {
   /** Kernel-level configuration (see `repro.mce.MceConfig`). */
   final case class KernelConfig(variant: Variant, etT: Int, edgeDepth: Int) extends Serializable
 
-  /** Solve one level-1 branch. The kernels update `c` and `x` in place, so
-    * the caller must not read them afterwards.
+  /** Solve one level-1 branch on the `Solver` of its workspace (`bg.ws`).
+    * The kernels update `c` and `x` in place, so the caller must not read
+    * them afterwards.
     *
     * @param sPrefix global vertex ids already in the partial clique S
     * @param level   depth of this branch in the recursion tree (level-1 = 1,
@@ -50,13 +54,8 @@ object Kernels {
     *                while `level <= edgeDepth`
     */
   def solve(bg: BranchGraph, c: Array[Long], x: Array[Long], sPrefix: Array[Int],
-            level: Int, cfg: KernelConfig, counters: Counters, sink: CliqueSink): Unit = {
-    val solver = new Solver(bg, cfg, counters, sink, c.length, x.length)
-    var i = 0
-    while (i < sPrefix.length) { solver.buf(i) = sPrefix(i); i += 1 }
-    solver.len = sPrefix.length
-    solver.dispatch(c, x, level)
-  }
+            level: Int, cfg: KernelConfig, counters: Counters, sink: CliqueSink): Unit =
+    bg.ws.solver.solve(bg, c, x, sPrefix, level, cfg, counters, sink)
 
   /** Sort key of the candidate pair (i, j) of rank `rank` in an anchor of
     * `nLoc` vertices: keys ascend by rank, then by (i, j). The cell
@@ -69,18 +68,58 @@ object Kernels {
   /** The cell `i * nLoc + j` of a [[pairKey]]. */
   private[mce] def keyCell(key: Long): Int = key.toInt
 
-  /** The search state of one level-1 branch.
+  /** A stack of `width`-word bitsets: `take` hands out the next free slot,
+    * and a caller frees everything taken since it read `top` by writing
+    * `top` back. Slots are made once and keep their stale contents.
+    */
+  private final class Pool(width: Int) {
+    private var slots = new Array[Array[Long]](8)
+    var top = 0
+    def take(): Array[Long] = {
+      if (top == slots.length) slots = java.util.Arrays.copyOf(slots, 2 * top)
+      var s = slots(top)
+      if (s == null) { s = new Array[Long](width); slots(top) = s }
+      top += 1
+      s
+    }
+  }
+
+  /** One `Array[Long]` per recursion level, each grown to the largest size
+    * asked of it at that level.
+    */
+  private final class PerLevel {
+    private var bufs = new Array[Array[Long]](4)
+    def apply(level: Int, size: Int): Array[Long] = {
+      if (level >= bufs.length) bufs = java.util.Arrays.copyOf(bufs, math.max(level + 1, 2 * bufs.length))
+      var b = bufs(level)
+      if (b == null || b.length < size) {
+        b = new Array[Long](if (b == null) size else math.max(size, 2 * b.length))
+        bufs(level) = b
+      }
+      b
+    }
+  }
+
+  /** The search state of the level-1 branches solved on one [[Workspace]].
+    *
+    * A workspace owns one `Solver` for its whole life (one per run, Spark
+    * task or thread), and `solve` points it at each branch in turn. Every
+    * buffer it holds is made once and then reused, so in steady state no
+    * kernel call allocates (per-call allocation otherwise throttles 16-way
+    * Spark execution with GC): the clique buffer grows to the largest
+    * branch, and the depth pools, early termination's arrays and
+    * `edgeRec`'s per-level buffers to the largest use.
     *
     * A kernel owns the C and X it is handed: no caller reads them again, so
     * the kernel updates them in place. Every other set a call needs comes
-    * from two depth pools of `cLen`- and `xLen`-word buffers. The recursion
+    * from the depth pools of the branch's C and X widths, one `Pool` per
+    * word width because every `Bits` op takes its word count from the array
+    * length (when C and X are equally wide they share one). The recursion
     * is properly nested, so the pools work like a stack: a step takes the
     * next free slots for its child and rewinds both pools when the child
-    * returns, which also frees whatever the child took. No kernel allocates
-    * a bitset per call (per-call allocation otherwise throttles 16-way
-    * Spark execution with GC). Early termination takes its endpoint set
-    * from the same pool and lays out its complement walks in two int
-    * arrays that grow to the largest C.
+    * returns, which also frees whatever the child took. Early termination
+    * takes its endpoint set from the same pool and lays out its complement
+    * walks in two int arrays.
     *
     * `surv` is the one record of the pairs that may still be used: inside
     * the current C it holds exactly the pairs not yet consumed. Two places
@@ -89,33 +128,55 @@ object Kernels {
     * (`vertexRec` restores), and every edge step of `edgeRec` swaps in its
     * child's rows with the pairs it consumes dropped.
     */
-  private final class Solver(bg: BranchGraph, cfg: KernelConfig, counters: Counters, sink: CliqueSink,
-                             cLen: Int, xLen: Int) {
-    val buf = new Array[Int](bg.nLoc + 8)
-    var len = 0
+  private[mce] final class Solver {
+    private var cfg: KernelConfig = _
+    private var counters: Counters = _
+    private var sink: CliqueSink = _
+    private var globalIds: Array[Int] = _
+    private var ranks: Array[Int] = _
+    private var nLoc = 0
+    private var W = 0
     // The rows in force; `surv eq full` means no consumed pair lies inside C.
-    private var surv = bg.survFlat
-    private val full = bg.fullFlat
-    private val W = bg.words
+    private var surv: Array[Long] = _
+    private var full: Array[Long] = _
+    private var buf = Array.emptyIntArray
+    private var len = 0
 
-    private val cPool = new java.util.ArrayList[Array[Long]]()
-    private val xPool = new java.util.ArrayList[Array[Long]]()
-    private var cPos = 0
-    private var xPos = 0
-    private def allocC(): Array[Long] = {
-      if (cPos == cPool.size) cPool.add(new Array[Long](cLen))
-      val a = cPool.get(cPos); cPos += 1; a
+    private var pools = new Array[Pool](0)
+    private var cPool: Pool = _
+    private var xPool: Pool = _
+    private def pool(width: Int): Pool = {
+      if (width >= pools.length) pools = java.util.Arrays.copyOf(pools, math.max(width + 1, 2 * pools.length))
+      if (pools(width) == null) pools(width) = new Pool(width)
+      pools(width)
     }
-    private def allocX(): Array[Long] = {
-      if (xPos == xPool.size) xPool.add(new Array[Long](xLen))
-      val a = xPool.get(xPos); xPos += 1; a
+
+    // `edgeRec`'s pair keys and each edge step's dropped rows, per level
+    private val keyBufs = new PerLevel
+    private val rowBufs = new PerLevel
+
+    /** Point the solver at branch `bg`, with S = `sPrefix`, and solve it
+      * (see [[Kernels.solve]]).
+      */
+    def solve(bg: BranchGraph, c: Array[Long], x: Array[Long], sPrefix: Array[Int],
+              level: Int, cfg: KernelConfig, counters: Counters, sink: CliqueSink): Unit = {
+      this.cfg = cfg; this.counters = counters; this.sink = sink
+      globalIds = bg.globalIds; ranks = bg.localRank; nLoc = bg.nLoc; W = bg.words
+      surv = bg.survFlat; full = bg.fullFlat
+      // S holds distinct branch vertices after the prefix
+      if (buf.length < sPrefix.length + nLoc) buf = new Array[Int](sPrefix.length + nLoc)
+      System.arraycopy(sPrefix, 0, buf, 0, sPrefix.length)
+      len = sPrefix.length
+      cPool = pool(c.length); cPool.top = 0
+      xPool = pool(x.length); xPool.top = 0
+      dispatch(c, x, level)
     }
 
     /** Branch on edges while `level` is within the edge depth, on vertices
       * after it. An edge depth of 2 or more implies an edge-ordered level 1
       * (`MceConfig` checks it), whose branches carry `localRank`.
       */
-    def dispatch(c: Array[Long], x: Array[Long], level: Int): Unit =
+    private def dispatch(c: Array[Long], x: Array[Long], level: Int): Unit =
       if (level <= cfg.edgeDepth) edgeRec(c, x, level)
       else vertexRec(c, x)
 
@@ -154,18 +215,18 @@ object Kernels {
       * candidates whose pair with v is consumed — then move v from C to X.
       */
     private def take(v: Int, c: Array[Long], x: Array[Long]): Unit = {
-      val cMark = cPos
-      val xMark = xPos
-      val cN = allocC()
-      val xN = allocX()
+      val cMark = cPool.top
+      val xMark = xPool.top
+      val cN = cPool.take()
+      val xN = xPool.take()
       Bits.andIntoRow(cN, c, surv, v * W)
       if (surv eq full) Bits.andIntoRow(xN, x, full, v * W)
       else Bits.mixXIntoRow(xN, x, c, full, surv, v * W)
-      buf(len) = bg.globalIds(v); len += 1
+      buf(len) = globalIds(v); len += 1
       vertexRec(cN, xN)
       len -= 1
-      cPos = cMark
-      xPos = xMark
+      cPool.top = cMark
+      xPool.top = xMark
       Bits.clear(c, v); Bits.set(x, v)
     }
 
@@ -174,7 +235,15 @@ object Kernels {
     /** Emit S ∪ `set`. */
     private def emitWith(set: Array[Long]): Unit = {
       val save = len
-      Bits.foreachBit(set) { v => buf(len) = bg.globalIds(v); len += 1 }
+      var i = 0
+      while (i < set.length) {
+        var word = set(i)
+        while (word != 0L) {
+          buf(len) = globalIds((i << 6) + java.lang.Long.numberOfTrailingZeros(word)); len += 1
+          word &= word - 1
+        }
+        i += 1
+      }
       emit()
       len = save
     }
@@ -233,7 +302,7 @@ object Kernels {
     // The complement components of the last `terminate`, laid out by their
     // walks: the global ids of component k are etVerts[etStart(k),
     // etStart(k + 1)); the first `etPaths` components are paths, the rest
-    // cycles. Both arrays grow to the largest C and are reused.
+    // cycles. Both arrays grow to the largest C.
     private var etVerts = Array.emptyIntArray
     private var etStart = Array.emptyIntArray
     private var etPaths = 0
@@ -251,10 +320,10 @@ object Kernels {
     private def terminate(c: Array[Long], cSize: Int): Unit = {
       if (minD == cSize - 1) { emitWith(c); return }
       val save = len
-      val cMark = cPos
+      val cMark = cPool.top
       // One pass over C: F goes onto the clique and leaves C; the path
       // endpoints (complement degree 1) are marked in `ends`.
-      val ends = allocC()
+      val ends = cPool.take()
       java.util.Arrays.fill(ends, 0L)
       var i = 0
       while (i < c.length) {
@@ -264,8 +333,8 @@ object Kernels {
           word &= word - 1
           // v itself is in C and not in its own row
           val d = Bits.countAndNotRow(c, full, v * W) - 1
-          require(d <= 2, s"complement degree $d > 2 — not a 3-plex")
-          if (d == 0) { buf(len) = bg.globalIds(v); len += 1; Bits.clear(c, v) }
+          if (d > 2) throw new IllegalArgumentException(s"complement degree $d > 2 — not a 3-plex")
+          if (d == 0) { buf(len) = globalIds(v); len += 1; Bits.clear(c, v) }
           else if (d == 1) Bits.set(ends, v)
         }
         i += 1
@@ -290,7 +359,7 @@ object Kernels {
       while (v >= 0) { etStart(k) = n; k += 1; n = walk(c, v, n); v = Bits.first(c) }
       etStart(k) = n
       etComps = k
-      cPos = cMark
+      cPool.top = cMark
       emitFrom(0)
       len = save
     }
@@ -304,7 +373,7 @@ object Kernels {
       var v = start
       while (v >= 0) {
         Bits.clear(c, v)
-        etVerts(n) = bg.globalIds(v); n += 1
+        etVerts(n) = globalIds(v); n += 1
         v = Bits.firstAndNotRow(c, full, v * W)
       }
       n
@@ -362,20 +431,33 @@ object Kernels {
       var pivot = maxV
       var pivotCnt = maxD
       var pivotFromX = false
-      if (!Bits.isEmpty(x)) {
-        Bits.foreachBit(x) { xv =>
+      var i = 0
+      while (i < x.length) {
+        var word = x(i)
+        while (word != 0L) {
+          val xv = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
           val cnt = Bits.countAndRow(c, full, xv * W)
           if (cnt > pivotCnt || (refMode && cnt == pivotCnt)) {
             pivotCnt = cnt; pivot = xv; pivotFromX = true
           }
+          word &= word - 1
         }
-        // BK_Ref-style domination: an exclusion vertex adjacent to every
-        // candidate makes every clique of this branch non-maximal.
-        if (refMode && pivotFromX && pivotCnt == cSize) return
+        i += 1
       }
-      val branchSet = allocC()
+      // BK_Ref-style domination: an exclusion vertex adjacent to every
+      // candidate makes every clique of this branch non-maximal.
+      if (refMode && pivotFromX && pivotCnt == cSize) return
+      val branchSet = cPool.take()
       Bits.andNotIntoRow(branchSet, c, if (pivotFromX) full else surv, pivot * W)
-      Bits.foreachBit(branchSet) { v => take(v, c, x) }
+      i = 0
+      while (i < branchSet.length) {
+        var word = branchSet(i)
+        while (word != 0L) {
+          take((i << 6) + java.lang.Long.numberOfTrailingZeros(word), c, x)
+          word &= word - 1
+        }
+        i += 1
+      }
     }
 
     // ------------------------------------------------------------------ rcd
@@ -392,11 +474,17 @@ object Kernels {
       // C is a clique (then necessarily no deleted pair): the single
       // candidate maximal clique is S ∪ C — emit unless an exclusion vertex
       // extends it (Algorithm 9 lines 10-11).
-      var extender = false
-      Bits.foreachBit(x) { xv =>
-        if (!extender && Bits.countAndRow(c, full, xv * W) == cSize) extender = true
+      var i = 0
+      while (i < x.length) {
+        var word = x(i)
+        while (word != 0L) {
+          val xv = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+          if (Bits.countAndRow(c, full, xv * W) == cSize) return
+          word &= word - 1
+        }
+        i += 1
       }
-      if (!extender) emitWith(c)
+      emitWith(c)
     }
 
     // ------------------------------------------------------------------ fac
@@ -404,8 +492,8 @@ object Kernels {
     private def facRec(c: Array[Long], x: Array[Long]): Unit = {
       if (open(c, x, scans = cfg.etT >= 1) < 0) return
       // p: the branches the current pivot leaves; q: those u would leave.
-      var p = allocC()
-      var q = allocC()
+      var p = cPool.take()
+      var q = cPool.take()
       Bits.andNotIntoRow(p, c, surv, Bits.first(c) * W)
       var pCount = Bits.count(p)
       while (pCount > 0) {
@@ -431,63 +519,99 @@ object Kernels {
       */
     private def edgeRec(c: Array[Long], x: Array[Long], level: Int): Unit = {
       if (open(c, x, scans = cfg.etT >= 1) < 0) return
-      // The usable pairs inside C as sort keys, in an array of their exact
-      // number: the rows in force count each pair once from either end.
-      val ranks = bg.localRank
-      val nLoc = bg.nLoc
+      // The usable pairs inside C as sort keys, in this level's key buffer:
+      // the rows in force count each pair once from either end.
       var ends = 0
-      Bits.foreachBit(c) { i => ends += Bits.countAndRow(c, surv, i * W) }
-      val edges = new Array[Long](ends / 2)
-      var k = 0
-      val row = allocC()
-      Bits.foreachBit(c) { i =>
-        Bits.andIntoRow(row, c, surv, i * W)
-        Bits.foreachBit(row) { j =>
-          if (j > i) { edges(k) = pairKey(ranks(i * nLoc + j), i, j, nLoc); k += 1 }
+      var i = 0
+      while (i < c.length) {
+        var word = c(i)
+        while (word != 0L) {
+          ends += Bits.countAndRow(c, surv, ((i << 6) + java.lang.Long.numberOfTrailingZeros(word)) * W)
+          word &= word - 1
         }
+        i += 1
       }
-      java.util.Arrays.sort(edges)
-      val cx = allocX()
+      val nKeys = ends / 2
+      val edges = keyBufs(level, nKeys)
+      var k = 0
+      i = 0
+      while (i < c.length) {
+        var word = c(i)
+        while (word != 0L) {
+          val a = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+          word &= word - 1
+          // partners b > a inside C: the rest of word i, then later words
+          var q = i
+          var pair = c(i) & surv(a * W + i) & (-2L << (a & 63))
+          while (q < c.length) {
+            while (pair != 0L) {
+              val b = (q << 6) + java.lang.Long.numberOfTrailingZeros(pair)
+              edges(k) = pairKey(ranks(a * nLoc + b), a, b, nLoc); k += 1
+              pair &= pair - 1
+            }
+            q += 1
+            if (q < c.length) pair = c(q) & surv(a * W + q)
+          }
+        }
+        i += 1
+      }
+      java.util.Arrays.sort(edges, 0, nKeys)
+      val cx = xPool.take()
       Bits.orIntoMixed(cx, x, c)
       val rows = surv
+      val childRows = rowBufs(level, nLoc * W)
       var ei = 0
-      while (ei < edges.length) {
+      while (ei < nKeys) {
         val re = keyRank(edges(ei))
         val cell = keyCell(edges(ei))
-        val i = cell / nLoc
-        val j = cell % nLoc
-        val cMark = cPos
-        val xMark = xPos
-        // C' ⊆ C ∩ N_surv(i) ∩ N_surv(j) keeps the vertices whose edges to
-        // both i and j rank after e; X' = (C ∪ X) ∩ N_full(i) ∩ N_full(j)
+        val a = cell / nLoc
+        val b = cell % nLoc
+        val cMark = cPool.top
+        val xMark = xPool.top
+        // C' ⊆ C ∩ N_surv(a) ∩ N_surv(b) keeps the vertices whose edges to
+        // both a and b rank after e; X' = (C ∪ X) ∩ N_full(a) ∩ N_full(b)
         // minus C'.
-        val cNew = allocC()
-        Bits.andIntoRow(cNew, c, rows, i * W)
-        Bits.andIntoRow(cNew, cNew, rows, j * W)
-        Bits.foreachBit(cNew) { w =>
-          if (ranks(i * nLoc + w) <= re || ranks(j * nLoc + w) <= re) Bits.clear(cNew, w)
+        val cNew = cPool.take()
+        Bits.andIntoRow(cNew, c, rows, a * W)
+        Bits.andIntoRow(cNew, cNew, rows, b * W)
+        i = 0
+        while (i < cNew.length) {
+          var word = cNew(i)
+          while (word != 0L) {
+            val w = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+            if (ranks(a * nLoc + w) <= re || ranks(b * nLoc + w) <= re) cNew(i) &= ~(word & -word)
+            word &= word - 1
+          }
+          i += 1
         }
-        val xNew = allocX()
-        Bits.andIntoRow(xNew, cx, full, i * W)
-        Bits.andIntoRow(xNew, xNew, full, j * W)
+        val xNew = xPool.take()
+        Bits.andIntoRow(xNew, cx, full, a * W)
+        Bits.andIntoRow(xNew, xNew, full, b * W)
         Bits.andNotInPlace(xNew, cNew)
-        buf(len) = bg.globalIds(i); buf(len + 1) = bg.globalIds(j); len += 2
-        surv = BranchGraph.dropConsumed(rows, nLoc, W, cNew, ranks, re)
+        buf(len) = globalIds(a); buf(len + 1) = globalIds(b); len += 2
+        surv = BranchGraph.dropConsumed(rows, nLoc, W, cNew, ranks, re, childRows)
         dispatch(cNew, xNew, level + 1)
         surv = rows
         len -= 2
-        cPos = cMark
-        xPos = xMark
+        cPool.top = cMark
+        xPool.top = xMark
         ei += 1
       }
       // Eq. (3): candidates isolated in the surviving graph are singleton
       // extensions; maximal iff nothing in C ∪ X is (fully) adjacent to them.
-      Bits.foreachBit(c) { v =>
-        if (Bits.countAndRow(c, surv, v * W) == 0 && Bits.countAndRow(cx, full, v * W) == 0) {
-          buf(len) = bg.globalIds(v); len += 1
-          emit()
-          len -= 1
+      i = 0
+      while (i < c.length) {
+        var word = c(i)
+        while (word != 0L) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+          if (Bits.countAndRow(c, surv, v * W) == 0 && Bits.countAndRow(cx, full, v * W) == 0) {
+            buf(len) = globalIds(v); len += 1
+            emit()
+            len -= 1
+          }
+          word &= word - 1
         }
+        i += 1
       }
     }
   }

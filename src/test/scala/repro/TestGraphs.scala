@@ -1,7 +1,7 @@
 package repro
 
 import repro.graph.LocalGraph
-import repro.mce.{Bits, BranchGraph}
+import repro.mce.{Bits, BranchGraph, Workspace}
 
 /** Small deterministic graphs and helpers shared across test suites. */
 object TestGraphs {
@@ -72,7 +72,8 @@ object TestGraphs {
     }
     val c = new Array[Long](words)
     (0 until g.n).foreach(Bits.set(c, _))
-    (new BranchGraph(g.n, words, flat, flat, Array.tabulate(g.n)(identity), null), c)
+    val ws = new Workspace(g.n, 0, ranks = false)
+    (new BranchGraph(g.n, words, flat, flat, Array.tabulate(g.n)(identity), null, ws), c)
   }
 
   /** All maximal independent sets of the path graph v0-v1-...-v(L-1),

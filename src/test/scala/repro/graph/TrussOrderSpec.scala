@@ -73,6 +73,27 @@ class TrussOrderSpec extends SparkSpec {
     assert(alloc <= bound, s"allocated $alloc bytes, bound $bound")
   }
 
+  test("degeneracy-lex and min-degree ranks equal a boxed sort of their keys on every paperSuite graph") {
+    for (cfg <- GraphGen.paperSuite) {
+      val g = GraphGen.generate(cfg)
+      val deg = Degeneracy.compute(g)
+      def boxedRanks(key: Int => Long): Array[Int] = {
+        val boxed = Array.tabulate(g.m)(Integer.valueOf)
+        java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => java.lang.Long.compare(key(a), key(b)))
+        val rank = new Array[Int](g.m)
+        for (i <- boxed.indices) rank(boxed(i)) = i
+        rank
+      }
+      val lex = boxedRanks { e =>
+        val pu = deg.pos(g.eu(e)); val pv = deg.pos(g.ev(e))
+        (math.min(pu, pv).toLong << 32) | math.max(pu, pv)
+      }
+      val mdg = boxedRanks(e => (math.min(g.degree(g.eu(e)), g.degree(g.ev(e))).toLong << 32) | e)
+      assert(EdgeOrders.degeneracyLex(g, deg).rank.sameElements(lex), cfg.name)
+      assert(EdgeOrders.minDegree(g).rank.sameElements(mdg), cfg.name)
+    }
+  }
+
   test("greedy peel: each edge has the minimum live support at its removal") {
     for (seed <- 0 until 6) {
       val g = GraphGen.randomGnp(25, 0.35, seed + 700)

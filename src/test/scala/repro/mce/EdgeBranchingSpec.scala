@@ -52,7 +52,7 @@ class EdgeBranchingSpec extends SparkSpec {
       cSet.foreach(Bits.set(c, _))
       for (r <- Seq(-1, rng.nextInt(30), rng.nextInt(100), 100)) {
         val rowsBefore = rows.clone()
-        val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, r)
+        val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, r, new Array[Long](nLoc * words))
         assert(rows.sameElements(rowsBefore), "the input rows must not change")
         bruteDrop(rows, nLoc, words, cSet, ranks, r) match {
           case None => assert(got eq rows, s"r=$r: nothing consumed, want the rows themselves")
@@ -75,8 +75,10 @@ class EdgeBranchingSpec extends SparkSpec {
     link(0, 65, 9); link(1, 65, 1); link(0, 1, 2); link(1, 66, 50)
     val c = new Array[Long](words)
     Seq(0, 65, 66).foreach(Bits.set(c, _))
-    assert(BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 8) eq rows)
-    val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 9)
+    val out = new Array[Long](nLoc * words)
+    assert(BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 8, out) eq rows)
+    val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 9, out)
+    assert(got eq out)
     assert(!Bits.getRow(got, 0, 65) && !Bits.getRow(got, 65 * words, 0))
     assert(Bits.isEmpty(got.slice(words, 2 * words)), "rows outside C are not copied")
   }

@@ -163,6 +163,14 @@ class EngineSpec extends SparkSpec {
     assert(e.getMessage.contains("degree 47001"), e.getMessage)
   }
 
+  test("two-hub graph: a stripe without the oversized anchor solves, its workspace sized from its own units") {
+    val prep = Engine.prepare(twoHubs(47000), MceConfig.hbbmcPP)
+    val stripe = (0 until prep.units).filter(u => prep.reduced.degree(prep.anchorVerts(u)) < 47001).toArray
+    assert(stripe.length == prep.units - 1)
+    val stats = Engine.solveUnits(prep, stripe, new CountingSink)
+    assert(stats.level1Branches == prep.reduced.m - 1)
+  }
+
   test("a triangle index too large for one array fails with a clear message") {
     // K_1700 has 817,388,900 triangles: 3T slots exceed Int.MaxValue
     val e = intercept[IllegalArgumentException](

@@ -63,7 +63,7 @@ class NeighborhoodSpec extends SparkSpec {
     for (seed <- 0 until 6) {
       val rng = new Random(seed)
       val g = hubGraph(rng, 300, 3)
-      val ws = new Workspace(g.n)
+      val ws = new Workspace(g.n, (0 until g.n).map(g.degree).max, ranks = true)
       for (u <- 3 until 300 by 23 if g.degree(u) > 0) {
         val (p, s) = check(g, ws, rng, u, withRanks = true, fullRows = true)
         probed += p; scanned += s
@@ -77,7 +77,7 @@ class NeighborhoodSpec extends SparkSpec {
     for (seed <- 0 until 6) {
       val rng = new Random(100 + seed)
       val g = hubGraph(rng, 300, 3)
-      val ws = new Workspace(g.n)
+      val ws = new Workspace(g.n, (0 until g.n).map(g.degree).max, ranks = true)
       for (u <- 3 until 300 by 17 if g.degree(u) > 0) {
         val (p, s) = check(g, ws, rng, u, withRanks = false, fullRows = false)
         probed += p; scanned += s
@@ -89,7 +89,7 @@ class NeighborhoodSpec extends SparkSpec {
   test("a smaller neighborhood after a larger one in the same workspace has no stale bits") {
     val rng = new Random(7)
     val g = hubGraph(rng, 300, 3)
-    val ws = new Workspace(g.n)
+    val ws = new Workspace(g.n, (0 until g.n).map(g.degree).max, ranks = true)
     val bySize = (3 until 300).filter(g.degree(_) > 0).sortBy(g.degree)
     // a hub's full neighborhood, then small ones in both layouts
     check(g, ws, rng, 0, withRanks = true, fullRows = true)
