@@ -1,6 +1,6 @@
 package repro.dist
 
-import repro.graph.{Degeneracy, GraphGen, LocalGraph, TrussOrder}
+import repro.graph.{Degeneracy, ForwardLists, GraphGen, LocalGraph, TrussOrder}
 
 /** Table I statistics for one dataset: |V|, |E|, δ, τ, ρ and the paper's
   * complexity condition δ ≥ max{3, τ + 3·lnρ/ln3}.
@@ -23,7 +23,7 @@ object DatasetStats {
     val m = g.m.toLong
     val degeneracy = Degeneracy.compute(g)
     val delta = degeneracy.delta
-    val tau = TrussOrder.compute(g, degeneracy.pos).bound
+    val tau = TrussOrder.compute(ForwardLists(g, degeneracy.pos)).bound
     val rho = if (n == 0) 0.0 else m.toDouble / n.toDouble
     val cond = delta >= math.max(3.0, tau + 3.0 * math.log(rho) / math.log(3.0))
     DatasetStatsRow(name, fullName, n, m, delta, tau, rho, cond)

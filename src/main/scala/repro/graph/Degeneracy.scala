@@ -78,3 +78,34 @@ object Degeneracy {
     DegeneracyResult(order, pos, coreness, delta)
   }
 }
+
+/** Degeneracy-forward lists (CSR, 2m + n + 1 ints): `adj(off(u) until
+  * off(u + 1))` holds u's neighbours later in a degeneracy order, ascending
+  * by id, and `edge` their canonical edge ids. Each edge sits once, at its
+  * earlier endpoint, and a list holds at most δ entries (Chiba–Nishizeki).
+  */
+final class ForwardLists private (val off: Array[Int], val adj: Array[Int], val edge: Array[Int])
+    extends Serializable {
+  def n: Int = off.length - 1
+}
+
+object ForwardLists {
+
+  /** The forward lists of `g` under the degeneracy positions `pos`. */
+  def apply(g: LocalGraph, pos: Array[Int]): ForwardLists = {
+    val off = new Array[Int](g.n + 1)
+    val adj = new Array[Int](g.m)
+    val edge = new Array[Int](g.m)
+    var u = 0
+    while (u < g.n) {
+      var p = g.offsets(u); val pe = g.offsets(u + 1); var f = off(u)
+      while (p < pe) {
+        if (pos(g.adj(p)) > pos(u)) { adj(f) = g.adj(p); edge(f) = g.adjEdge(p); f += 1 }
+        p += 1
+      }
+      off(u + 1) = f
+      u += 1
+    }
+    new ForwardLists(off, adj, edge)
+  }
+}

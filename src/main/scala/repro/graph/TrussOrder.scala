@@ -27,41 +27,32 @@ object TrussOrder {
     */
   private val MaxSlots = Int.MaxValue - 8
 
-  /** The truss ordering of `g`, whose triangles are listed over the forward
-    * lists of the degeneracy positions `pos` (`Degeneracy.compute(g).pos`).
+  /** The truss ordering of the graph whose degeneracy-forward lists are
+    * `fwd`.
     */
-  def compute(g: LocalGraph, pos: Array[Int]): EdgeOrderResult = {
-    val m = g.m
+  def compute(fwd: ForwardLists): EdgeOrderResult = {
+    val m = fwd.adj.length
     if (m == 0) return EdgeOrderResult(new Array[Int](0), 0)
-    // Triangle listing in O(δm): orient each edge to its later endpoint in
-    // the degeneracy order; the forward lists (ascending id, with edge ids)
-    // hold at most δ entries, and only they are walked. Each triangle is
+    // Triangle listing in O(δm): each edge is oriented to its later endpoint
+    // in the degeneracy order, and only the forward lists (ascending id, with
+    // edge ids, at most δ entries each) are walked. Each triangle is
     // recorded on each of its three edges as the pair of the OTHER two edge
     // ids (6 ints per triangle), so the peel below is a pure array walk.
     // Pass 0 counts the triangles per edge, pass 1 fills that CSR.
-    val fOff = new Array[Int](g.n + 1)
-    val fAdj = new Array[Int](m)
-    val fEdge = new Array[Int](m)
-    var u = 0
-    while (u < g.n) {
-      var p = g.offsets(u); val pe = g.offsets(u + 1); var f = fOff(u)
-      while (p < pe) {
-        if (pos(g.adj(p)) > pos(u)) { fAdj(f) = g.adj(p); fEdge(f) = g.adjEdge(p); f += 1 }
-        p += 1
-      }
-      fOff(u + 1) = f
-      u += 1
-    }
+    val n = fwd.n
+    val fOff = fwd.off
+    val fAdj = fwd.adj
+    val fEdge = fwd.edge
     val triCnt = new Array[Int](m)
     val off = new Array[Int](m + 1)
     val cursor = new Array[Int](m)
     var otherA: Array[Int] = null; var otherB: Array[Int] = null
-    val markEdge = new Array[Int](g.n) // edge id of (u, w) for marked w, else -1
+    val markEdge = new Array[Int](n) // edge id of (u, w) for marked w, else -1
     java.util.Arrays.fill(markEdge, -1)
     var pass = 0
     while (pass < 2) {
-      u = 0
-      while (u < g.n) {
+      var u = 0
+      while (u < n) {
         val pe = fOff(u + 1)
         var p = fOff(u)
         while (p < pe) { markEdge(fAdj(p)) = fEdge(p); p += 1 }
@@ -153,7 +144,8 @@ object TrussOrder {
 object EdgeOrders {
 
   /** The paper's default: truss-based ordering, bound = τ. */
-  def truss(g: LocalGraph): EdgeOrderResult = TrussOrder.compute(g, Degeneracy.compute(g).pos)
+  def truss(g: LocalGraph): EdgeOrderResult =
+    TrussOrder.compute(ForwardLists(g, Degeneracy.compute(g).pos))
 
   /** `HBBMC-dgn`: edges sorted "alphabetically" by the degeneracy positions
     * of their endpoints — each edge oriented (earlier pos, later pos), then

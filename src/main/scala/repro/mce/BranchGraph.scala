@@ -1,6 +1,6 @@
 package repro.mce
 
-import repro.graph.LocalGraph
+import repro.graph.{ForwardLists, LocalGraph}
 
 /** Local-index subgraph for one level-1 branch, with *dual* adjacency.
   *
@@ -37,14 +37,15 @@ final class BranchGraph(
 )
 
 /** Reusable per-thread scratch for level-1 construction and the kernels:
-  * a vertex branch's layout buffer, global-id marks, the neighborhood
-  * matrices, a branch's C, X, S prefix and dropped rows, and the one
-  * `Kernels.Solver`. Everything is sized once, for neighborhoods of up to
-  * `maxDegree` vertices (with an nLoc × nLoc pair-rank matrix when
-  * `ranks`), or grows to the largest branch; what a level-1 build writes is
-  * valid until the next level-1 build.
+  * the layout buffers, global-id marks, the neighborhood matrices, a
+  * branch's C, X, S prefix and dropped rows, and the one `Kernels.Solver`.
+  * Everything is sized once, for neighborhoods of up to `maxDegree`
+  * vertices (with an nLoc × nLoc pair-rank matrix when `ranks`), or grows
+  * to the largest branch; what a level-1 build writes is valid until the
+  * next level-1 build. `forward` holds the forward lists of the graph whose
+  * neighborhoods it builds (`Prepared.forward`).
   */
-final class Workspace(n: Int, maxDegree: Int, ranks: Boolean) {
+final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ranks: Boolean) {
   private val maxWords = Bits.words(maxDegree)
   if (ranks) {
     val cells = maxDegree.toLong * maxDegree
@@ -57,10 +58,13 @@ final class Workspace(n: Int, maxDegree: Int, ranks: Boolean) {
     s"a neighborhood of degree $maxDegree needs a $rowWords-word adjacency matrix; at most " +
       s"${Int.MaxValue} words fit in one array")
 
+  /** A level-1 layout: local index → global id. */
   val idsBuf = new Array[Int](maxDegree)
+  /** `AnchorContext`'s layout sort keys. */
+  private[mce] val keyBuf = new Array[Long](if (ranks) maxDegree else 0)
   // global-id → local index marks (stamped, no clearing needed)
-  private val markStamp = new Array[Int](n)
-  val markLocal = new Array[Int](n)
+  private val markStamp = new Array[Int](forward.n)
+  val markLocal = new Array[Int](forward.n)
   private var stamp = 0
   /** The neighborhood matrices of the last `neighborhood` call. */
   val hFlat = new Array[Long](rowWords.toInt)
@@ -84,50 +88,52 @@ final class Workspace(n: Int, maxDegree: Int, ranks: Boolean) {
 
   private[mce] val solver = new Kernels.Solver
 
+  /** Throws unless `nLoc` vertices (with pair ranks if `withRanks`) fit. */
+  private[mce] def fit(nLoc: Int, withRanks: Boolean): Unit =
+    if (nLoc > maxDegree || (withRanks && !ranks))
+      throw new IllegalArgumentException(
+        s"a neighborhood of degree $nLoc does not fit a workspace sized for degree $maxDegree (ranks: $ranks)")
+
   /** The one builder of level-1 neighborhood adjacency. Marks each
     * `ids(i)`, i < `nLoc`, with local index i in `markLocal`, and sets in
     * `hFlat` (rows of `words` longs) both cells of every adjacent pair
-    * (i, q) with i < `rowsEnd` and q > i; all other cells are zero. With
+    * (i, q) with min(i, q) < `rowsEnd`; all other cells are zero. With
     * `rank` non-null it also writes the pair's global edge rank into both
-    * cells of `hRank` (stride `nLoc`; other cells keep stale values).
+    * cells of `hRank` (stride `nLoc`; other cells keep stale values). Each
+    * pair is found once, with its edge id, in the forward list of its
+    * earlier endpoint, so the build costs Σ_i fdeg(ids(i)) ≤ nLoc·δ.
     */
-  def neighborhood(g: LocalGraph, ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int,
-                   rank: Array[Int]): Unit = {
-    if (nLoc > maxDegree || (rank != null && !ranks))
-      throw new IllegalArgumentException(
-        s"a neighborhood of degree $nLoc does not fit a workspace sized for degree $maxDegree (ranks: $ranks)")
+  def neighborhood(ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int, rank: Array[Int]): Unit = {
+    fit(nLoc, rank != null)
     val h = hFlat
     val hr = hRank
     java.util.Arrays.fill(h, 0, nLoc * words, 0L)
-    def link(i: Int, q: Int, slot: Int): Unit = {
-      Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
-      if (rank != null) {
-        val er = rank(g.adjEdge(slot))
-        hr(i * nLoc + q) = er; hr(q * nLoc + i) = er
-      }
-    }
     stamp += 1
     val st = stamp
     val marks = markStamp
     val local = markLocal
     var i = 0
     while (i < nLoc) { marks(ids(i)) = st; local(ids(i)) = i; i += 1 }
+    val fOff = forward.off
+    val fAdj = forward.adj
+    val fEdge = forward.edge
     i = 0
-    while (i < rowsEnd) {
-      val a = ids(i)
-      if (g.degree(a) > 8 * nLoc) {
-        // a hub: probe the later ids instead of scanning its much longer
-        // adjacency list
-        var q = i + 1
-        while (q < nLoc) { val p = g.edgeSlot(a, ids(q)); if (p >= 0) link(i, q, p); q += 1 }
-      } else {
-        var p = g.offsets(a)
-        val end = g.offsets(a + 1)
-        while (p < end) {
-          val b = g.adj(p)
-          if (marks(b) == st && local(b) > i) link(i, local(b), p)
-          p += 1
+    while (i < nLoc) {
+      var p = fOff(ids(i))
+      val end = fOff(ids(i) + 1)
+      while (p < end) {
+        val b = fAdj(p)
+        if (marks(b) == st) {
+          val q = local(b)
+          if (i < rowsEnd || q < rowsEnd) {
+            Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
+            if (rank != null) {
+              val er = rank(fEdge(p))
+              hr(i * nLoc + q) = er; hr(q * nLoc + i) = er
+            }
+          }
         }
+        p += 1
       }
       i += 1
     }
@@ -171,35 +177,36 @@ object BranchResult {
   *  - the branch universe A = N(u) ∩ N(v) is exactly H's row of v;
   *  - survival of a candidate pair (rank > rank(e)) is one matrix read.
   *
-  * The matrices live in the per-thread [[Workspace]] and are reused across
-  * anchors, and so do a branch's C, X, S prefix and, in the uncommon case
-  * that some candidate pair is already consumed, its surviving rows
-  * (`BranchGraph.dropConsumed`): a branch allocates only its `BranchGraph`
-  * and `Branch` records, and each is valid until the next branch is built.
+  * The layout and the matrices live in the per-thread [[Workspace]] and
+  * are reused across anchors, and so do a branch's C, X, S prefix and, in
+  * the uncommon case that some candidate pair is already consumed, its
+  * surviving rows (`BranchGraph.dropConsumed`): a branch allocates only its
+  * `BranchGraph` and `Branch` records, and each is valid until the next
+  * branch is built.
   */
 final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
                           needRanks: Boolean, ws: Workspace) {
   val nLoc: Int = g.degree(u)
   val words: Int = Bits.words(math.max(1, nLoc))
-  /** neighbors of u in descending rank(u,·) order */
+  ws.fit(nLoc, withRanks = true)
+  /** neighbors of u in descending rank(u,·) order, in `ws.idsBuf` */
   val ids: Array[Int] = {
     // key: ~rank in the high half (descending rank), the neighbor's id in
     // the low half; edge ranks are distinct, so the id only fills the key
-    val keys = new Array[Long](nLoc)
+    val keys = ws.keyBuf
     val start = g.offsets(u)
     var i = 0
     while (i < nLoc) {
-      val w = g.adj(start + i)
-      keys(i) = (~rank(g.adjEdge(start + i)).toLong << 32) | w
+      keys(i) = (~rank(g.adjEdge(start + i)).toLong << 32) | g.adj(start + i)
       i += 1
     }
-    java.util.Arrays.sort(keys)
-    val out = new Array[Int](nLoc)
+    java.util.Arrays.sort(keys, 0, nLoc)
+    val out = ws.idsBuf
     i = 0
     while (i < nLoc) { out(i) = keys(i).toInt; i += 1 }
     out
   }
-  ws.neighborhood(g, ids, nLoc, nLoc, words, rank)
+  ws.neighborhood(ids, nLoc, nLoc, words, rank)
   private val h = ws.hFlat
   private val hRank = ws.hRank
   private val localRanks = if (needRanks) hRank else null
@@ -316,27 +323,24 @@ object BranchGraph {
     * neighbors later in the order, exclusions = earlier. Single adjacency in
     * the workspace's `hFlat`; the branch, like its C, X and S, lives in
     * workspace buffers and is valid until the next level-1 build. `g` is
-    * GR's reduced graph, a 3-core, so `v` is never isolated.
+    * GR's reduced graph, a 3-core, so `v` is never isolated; `pos` are the
+    * degeneracy positions that `ws`'s forward lists follow.
     */
   def forVertexBranch(g: LocalGraph, pos: Array[Int], v: Int, ws: Workspace): BranchResult = {
     val nLoc = g.degree(v)
-    val start = g.offsets(v)
-    var cCount = 0
-    var p = start
-    while (p < start + nLoc) { if (pos(g.adj(p)) > pos(v)) cCount += 1; p += 1 }
+    val fwd = ws.forward
+    val cCount = fwd.off(v + 1) - fwd.off(v)
     if (cCount == 0) return BranchResult.dead // all neighbors earlier
-    // Layout: candidates, then exclusions, each in ascending id (pivot ties
-    // follow it).
+    ws.fit(nLoc, withRanks = false)
+    // Layout: candidates (v's forward list), then exclusions, each in
+    // ascending id (pivot ties follow it).
     val ids = ws.idsBuf
-    var nc = 0; var nx = cCount
-    p = start
-    while (p < start + nLoc) {
-      val w = g.adj(p)
-      if (pos(w) > pos(v)) { ids(nc) = w; nc += 1 } else { ids(nx) = w; nx += 1 }
-      p += 1
-    }
+    System.arraycopy(fwd.adj, fwd.off(v), ids, 0, cCount)
+    var nx = cCount
+    var p = g.offsets(v)
+    while (p < g.offsets(v + 1)) { if (pos(g.adj(p)) < pos(v)) { ids(nx) = g.adj(p); nx += 1 }; p += 1 }
     val words = Bits.words(nLoc)
-    ws.neighborhood(g, ids, nLoc, cCount, words, null)
+    ws.neighborhood(ids, nLoc, cCount, words, null)
     val c = ws.cSet(Bits.words(cCount))
     java.util.Arrays.fill(c, 0L)
     var i = 0

@@ -1,6 +1,6 @@
 package repro.mce
 
-import repro.graph.{Degeneracy, EdgeOrderResult, EdgeOrders, LocalGraph, TrussOrder}
+import repro.graph.{Degeneracy, EdgeOrderResult, EdgeOrders, ForwardLists, LocalGraph, TrussOrder}
 
 /** Which ordering drives level-1 edge branching (paper Table VI). */
 sealed trait EdgeOrderKind extends Serializable
@@ -75,8 +75,8 @@ object MceConfig {
 }
 
 /** Precomputed, broadcast-able state of one enumeration: the reduced
-  * graph with GR's closed edges, orderings, and the cliques GR emitted
-  * directly.
+  * graph with GR's closed edges and its degeneracy-forward lists, orderings,
+  * and the cliques GR emitted directly.
   */
 final class Prepared(
     val reduced: LocalGraph,
@@ -86,6 +86,7 @@ final class Prepared(
     val edgeRank: Array[Int], // null unless level-1 is edge-ordered
     val orderBound: Int,      // τ for truss; achieved bound otherwise
     val degenPos: Array[Int], // null unless level-1 is vertex-oriented
+    val forward: ForwardLists, // of `reduced`; every level-1 neighborhood is built from them
     val directCliques: Array[Array[Int]], // original ids, from GR
     // Edge-ordered level-1 branches grouped by anchor vertex (CSR):
     // anchorVerts(i) anchors edges anchorEdges(anchorOff(i) until anchorOff(i+1)).
@@ -112,8 +113,9 @@ object Engine {
     val gr = GraphReduction.reduce(g, direct)
     val reduced = gr.reduced
     // GR peels its input; when it removed nothing, that peel is the reduced
-    // graph's, and no ordering peels again.
-    lazy val degen = if (gr.removedAny) Degeneracy.compute(reduced) else gr.degeneracy
+    // graph's, and nothing peels again.
+    val degen = if (gr.removedAny) Degeneracy.compute(reduced) else gr.degeneracy
+    val forward = ForwardLists(reduced, degen.pos)
     var edgeRank: Array[Int] = null
     var bound = 0
     var degenPos: Array[Int] = null
@@ -125,7 +127,7 @@ object Engine {
         degenPos = degen.pos
       case Level1.EdgeOrdered(kind) =>
         val res: EdgeOrderResult = kind match {
-          case EdgeOrderKind.Truss    => TrussOrder.compute(reduced, degen.pos)
+          case EdgeOrderKind.Truss    => TrussOrder.compute(forward)
           case EdgeOrderKind.DegenLex => EdgeOrders.degeneracyLex(reduced, degen)
           case EdgeOrderKind.MinDeg   => EdgeOrders.minDegree(reduced)
         }
@@ -157,8 +159,8 @@ object Engine {
         anchorVerts = java.util.Arrays.copyOf(verts, groups)
         anchorOff = java.util.Arrays.copyOf(off, groups + 1)
     }
-    new Prepared(reduced, gr.oldId, gr.closed, cfg, edgeRank, bound, degenPos, direct.cliques.toArray,
-      anchorVerts, anchorOff, anchorEdges)
+    new Prepared(reduced, gr.oldId, gr.closed, cfg, edgeRank, bound, degenPos, forward,
+      direct.cliques.toArray, anchorVerts, anchorOff, anchorEdges)
   }
 
   /** Wrap a raw sink so that reduced ids are mapped back to original ids;
@@ -186,7 +188,7 @@ object Engine {
       maxDegree = math.max(maxDegree, prep.reduced.degree(v))
       i += 1
     }
-    new Workspace(math.max(1, prep.reduced.n), maxDegree, ranks = edges)
+    new Workspace(prep.forward, maxDegree, ranks = edges)
   }
 
   /** Solve the level-1 `units` of `prep` in order on the calling thread,

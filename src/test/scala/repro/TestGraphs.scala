@@ -1,6 +1,6 @@
 package repro
 
-import repro.graph.LocalGraph
+import repro.graph.{ForwardLists, LocalGraph}
 import repro.mce.{Bits, BranchGraph, Workspace}
 
 /** Small deterministic graphs and helpers shared across test suites. */
@@ -72,9 +72,12 @@ object TestGraphs {
     }
     val c = new Array[Long](words)
     (0 until g.n).foreach(Bits.set(c, _))
-    val ws = new Workspace(g.n, 0, ranks = false)
-    (new BranchGraph(g.n, words, flat, flat, Array.tabulate(g.n)(identity), null, ws), c)
+    (new BranchGraph(g.n, words, flat, flat, Array.tabulate(g.n)(identity), null, kernelWorkspace()), c)
   }
+
+  /** A workspace for the kernels alone: it builds no neighborhood. */
+  def kernelWorkspace(): Workspace =
+    new Workspace(ForwardLists(LocalGraph.empty(1), Array(0)), 0, ranks = false)
 
   /** All maximal independent sets of the path graph v0-v1-...-v(L-1),
     * by brute force (L ≤ 20).

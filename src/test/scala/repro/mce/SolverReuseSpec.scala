@@ -68,13 +68,13 @@ class SolverReuseSpec extends SparkSpec {
     assert(items.map(_.c.length).distinct.size >= 2, items.map(_.c.length))
     assert(items.map(_.x.length).distinct.size >= 2, items.map(_.x.length))
     assert(items.exists(_.cfg.edgeDepth == 2) && items.exists(_.bg.localRank == null))
-    assert(items.map(i => solveOn(i.on(new Workspace(1, 0, ranks = false))).et).sum > 0)
+    assert(items.map(i => solveOn(i.on(TestGraphs.kernelWorkspace())).et).sum > 0)
   }
 
   test("interleaved on one workspace, each branch gives the cliques and #Calls of a fresh workspace") {
-    val shared = new Workspace(1, 0, ranks = false)
+    val shared = TestGraphs.kernelWorkspace()
     for ((item, k) <- items.zipWithIndex) {
-      val fresh = solveOn(item.on(new Workspace(1, 0, ranks = false)))
+      val fresh = solveOn(item.on(TestGraphs.kernelWorkspace()))
       assert(fresh.calls > 0)
       assert(solveOn(item.on(shared)) == fresh, s"branch $k")
     }
@@ -83,7 +83,7 @@ class SolverReuseSpec extends SparkSpec {
   test("after a warm-up, repeated solves on one workspace allocate nothing") {
     val threads = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
-    val ws = new Workspace(1, 0, ranks = false)
+    val ws = TestGraphs.kernelWorkspace()
     val shared = items.map(_.on(ws)).toArray
     val cs = shared.map(_.c.clone())
     val xs = shared.map(_.x.clone())
