@@ -199,24 +199,16 @@ object BenchTables {
 
   // ------------------------------------------- extra: distributed scaling
 
-  /** The distributed comparison needs an instance whose enumeration time
-    * dwarfs Spark's fixed job overhead (~0.5 s), so it adds an extra-large
-    * DG-style graph on top of the two heaviest suite datasets.
-    */
-  val xlConfig: GraphGen.DatasetConfig = GraphGen.DatasetConfig(
-    "XL", "digg-xl", 12000, 5, 800, 6, 20, 100, 990, 24, 100, 130, 0.62, hubBias = true)
-
   def distTable(spark: SparkSession): String = {
     warmup()
     // Warm the task-side code paths too: the first parallel jobs trigger JIT
     // compilation inside executor threads.
     (1 to 2).foreach(_ => DistMCE.run(spark, dataset("FB"), MceConfig.hbbmcPP))
+    // The two heaviest suite datasets and `GraphGen.xl`.
     val names = Seq("DG", "OR", "XL")
     val header = Seq("Graph", "local ms", "DistMCE ms", "speedup", "#cliques")
     val rows = names.map { name =>
-      val g = if (name == "XL") synchronized {
-        cache.getOrElseUpdate("XL", GraphGen.generate(xlConfig))
-      } else dataset(name)
+      val g = dataset(name)
       // best of two for both sides: JVM/GC jitter dominates at this scale
       val local = Seq(timed(g, MceConfig.hbbmcPP), timed(g, MceConfig.hbbmcPP)).minBy(_.millis)
       def distOnce(): (Double, MceStats) = {

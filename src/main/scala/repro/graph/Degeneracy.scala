@@ -54,7 +54,9 @@ object Degeneracy {
       order(i) = u
       pos(u) = i
       removed(u) = true
-      g.foreachNeighbor(u) { w =>
+      var p = g.offsets(u); val pe = g.offsets(u + 1)
+      while (p < pe) {
+        val w = g.adj(p)
         // Only demote neighbors in strictly higher buckets: a neighbor already
         // at the current minimum keeps its bucket (its removal-time degree is
         // already determined), which also keeps bucket starts inside the
@@ -72,6 +74,7 @@ object Degeneracy {
           bin(dw) += 1
           deg(w) = dw - 1
         }
+        p += 1
       }
       i += 1
     }

@@ -197,8 +197,18 @@ object GraphGen {
     DatasetConfig("SO", "socfba",    9000,  5, 450,  5, 13, 0,  116,  7, 46, 56, 0.60, hubBias = true)
   )
 
+  /** An extra-large DG-style graph, outside the suite: the distributed
+    * table needs an instance whose enumeration time dwarfs Spark's fixed
+    * job overhead (~0.5 s).
+    */
+  val xl: DatasetConfig = DatasetConfig(
+    "XL", "digg-xl", 12000, 5, 800, 6, 20, 100, 990, 24, 100, 130, 0.62, hubBias = true)
+
+  private val registry: Seq[DatasetConfig] = paperSuite :+ xl
+
   def byName(name: String): DatasetConfig =
-    paperSuite.find(_.name == name).getOrElse(sys.error(s"unknown dataset $name"))
+    registry.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown dataset $name; known: ${registry.map(_.name).mkString(", ")}"))
 
   /** A small random graph for property tests: ER with edge prob p. */
   def randomGnp(n: Int, p: Double, seed: Long): LocalGraph = {

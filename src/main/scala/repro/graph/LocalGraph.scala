@@ -25,13 +25,6 @@ final class LocalGraph private (
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Iterate neighbors of `v` in ascending order. */
-  def foreachNeighbor(v: Int)(f: Int => Unit): Unit = {
-    var i = offsets(v)
-    val end = offsets(v + 1)
-    while (i < end) { f(adj(i)); i += 1 }
-  }
-
   def neighbors(v: Int): Array[Int] =
     java.util.Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
 

@@ -40,7 +40,7 @@ final case class MceConfig(
   require(edgeDepth <= 1 || level1.isInstanceOf[Level1.EdgeOrdered],
     s"edgeDepth = $edgeDepth needs an edge-ordered level1, not $level1: vertex branches carry " +
       "no pair ranks to branch on edges below level 1")
-  def kernelConfig: Kernels.KernelConfig = Kernels.KernelConfig(inner, etT, edgeDepth)
+  val kernelConfig: Kernels.KernelConfig = Kernels.KernelConfig(inner, etT, edgeDepth)
 }
 
 object MceConfig {

@@ -48,6 +48,13 @@ class GraphGenSpec extends SparkSpec {
     intercept[RuntimeException](GraphGen.byName("XX"))
   }
 
+  test("byName resolves XL outside the suite and names the registry for an unknown name") {
+    assert(GraphGen.byName("XL") == GraphGen.xl)
+    assert(!GraphGen.paperSuite.contains(GraphGen.xl))
+    val e = intercept[IllegalArgumentException](GraphGen.byName("XX"))
+    assert(e.getMessage.endsWith("known: " + (GraphGen.paperSuite :+ GraphGen.xl).map(_.name).mkString(", ")))
+  }
+
   test("randomGnp respects n") {
     val g = GraphGen.randomGnp(12, 0.5, 11)
     assert(g.n == 12)

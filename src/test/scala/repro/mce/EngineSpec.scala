@@ -119,6 +119,12 @@ class EngineSpec extends SparkSpec {
     assert(e.getMessage.contains("HBBMC++") && e.getMessage.contains("EBBMC"))
   }
 
+  test("a config builds its kernel config once, not per level-1 branch") {
+    val cfg = MceConfig.hbbmcT(2)
+    assert(cfg.kernelConfig eq cfg.kernelConfig)
+    assert(cfg.kernelConfig == Kernels.KernelConfig(Kernels.Pivot, 2, 1))
+  }
+
   test("an ET parameter outside 0..3 is rejected when the config is built") {
     // t = 4 admits complement degree 3, which early termination cannot walk
     val four = intercept[IllegalArgumentException](MceConfig.hbbmcT(4))
