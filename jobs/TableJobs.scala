@@ -28,13 +28,9 @@ object JobSession {
   * (distributed HBBMC++, an extra table) starts a SparkSession.
   */
 object TablesJob {
-  private val local: Seq[(String, () => String)] = Seq(
-    "1" -> (() => BenchTables.table1()),
-    "2" -> (() => BenchTables.table2()),
-    "3" -> (() => BenchTables.table3()),
-    "4" -> (() => BenchTables.table4()),
-    "5" -> (() => BenchTables.table5()),
-    "6" -> (() => BenchTables.table6()))
+  private val local: Seq[(String, () => String)] =
+    ("1" -> (() => BenchTables.table1())) +:
+      BenchTables.sweeps.map(s => s.id -> (() => BenchTables.runSweep(s)))
 
   /** Every table id, in run order. */
   val ids: Seq[String] = local.map(_._1) :+ "dist"

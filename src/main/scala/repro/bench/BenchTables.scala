@@ -5,13 +5,14 @@ import repro.dist.{DatasetStats, DistMCE}
 import repro.graph.{GraphGen, LocalGraph}
 import repro.mce._
 
-/** Shared benchmark harness: one function per paper table.
+/** Shared benchmark harness: Table I, the registry of Tables II–VI
+  * (`sweeps`, one renderer) and the distributed table.
   *
   * Timings are wall-clock over the *sequential* engine (`Engine.runLocal`),
   * matching the paper's single-threaded C++ measurements; they include
-  * ordering generation, as the paper's do. Each table function also asserts
-  * that every algorithm configuration found exactly the same number of
-  * maximal cliques — a strong cross-validation that runs on every bench.
+  * ordering generation, as the paper's do. Each sweep also asserts that
+  * every algorithm configuration found exactly the same number of maximal
+  * cliques — a strong cross-validation that runs on every bench.
   * Results are printed paper-style and written as TSV under bench_results/.
   */
 object BenchTables {
@@ -38,14 +39,13 @@ object BenchTables {
 
   @volatile private var warmed = false
 
-  /** JIT warmup: run every configuration of the tables once on a mid-size
+  /** JIT warmup: run every configuration of the sweeps once on a mid-size
     * dataset.
     */
   def warmup(): Unit = synchronized {
     if (!warmed) {
       val g = dataset("FB")
-      Seq(table2Cfgs, table3Cfgs, table4Cfgs, table5Cfgs, table6Cfgs).flatten.map(_._2).distinct
-        .foreach(cfg => timed(g, cfg))
+      sweeps.flatMap(_.cfgs).map(_._2).distinct.foreach(cfg => timed(g, cfg))
       warmed = true
     }
   }
@@ -111,91 +111,58 @@ object BenchTables {
       "\n\n" + PaperNumbers.table1
   }
 
-  // ------------------------------------------------------------ Table II
+  // ------------------------------------------------------ Tables II–VI
 
-  val table2Cfgs: Seq[(String, MceConfig)] = named("HBBMC++", "RRef", "RDegen", "RRcd", "RFac")
+  /** One of the paper's Tables II–VI: every config of `cfgs` on every
+    * suite dataset, printed above the paper's table `paper`.
+    */
+  final case class Sweep(id: String, title: String, cfgs: Seq[(String, MceConfig)], paper: String)
 
-  def table2(): String = genericTimeTable("Table II: comparison with baselines (ms)",
-    "table2.tsv", table2Cfgs, PaperNumbers.table2)
+  /** The paper's Tables II–VI, in run order. */
+  val sweeps: Seq[Sweep] = Seq(
+    Sweep("2", "Table II: comparison with baselines",
+      named("HBBMC++", "RRef", "RDegen", "RRcd", "RFac"), PaperNumbers.table2),
+    Sweep("3", "Table III: ablation and hybrid inner variants",
+      named("HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++"), PaperNumbers.table3),
+    Sweep("4", "Table IV: depth of the edge-oriented phase",
+      (1 to 3).map(d => s"d=$d" -> MceConfig.hbbmcDepth(d)), PaperNumbers.table4),
+    Sweep("5", "Table V: early-termination parameter t",
+      (0 to 3).map(t => s"t=$t" -> MceConfig.hbbmcT(t)), PaperNumbers.table5),
+    Sweep("6", "Table VI: effect of the level-1 ordering",
+      named("HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg"), PaperNumbers.table6))
 
-  // ----------------------------------------------------------- Table III
-
-  val table3Cfgs: Seq[(String, MceConfig)] =
-    named("HBBMC++", "HBBMC+", "RDegen", "Ref++", "Rcd++", "Fac++")
-
-  def table3(): String = genericTimeTable(
-    "Table III: ablation and hybrid inner variants (ms)",
-    "table3.tsv", table3Cfgs, PaperNumbers.table3)
-
-  private def genericTimeTable(title: String, tsv: String,
-                               cfgs: Seq[(String, MceConfig)], paper: String): String = {
-    val data = sweep(cfgs)
-    val header = "Graph" +: cfgs.map(_._1) :+ "#cliques"
-    val rows = data.map { case (name, results) =>
-      name +: results.map(r => fmtMs(r.millis)) :+ results.head.stats.cliques.toString
+  /** Header and rows of a sweep's table over `data` (per dataset, one
+    * result per config of `cfgs`): each config's ms and #Calls, then its
+    * b0/b (early-termination hits over t-plex branches; "n/a" when b = 0)
+    * if it runs early termination, and last the dataset's clique count.
+    * #Calls, the search-tree size, is the comparison that holds at our
+    * ~1/100 scale, where fixed per-edge costs are not amortized as on the
+    * paper's graphs (see EXPERIMENTS.md).
+    */
+  def sweepTable(cfgs: Seq[(String, MceConfig)],
+                 data: Seq[(String, Seq[RunResult])]): (Seq[String], Seq[Seq[String]]) = {
+    val header = "Graph" +: cfgs.flatMap { case (name, cfg) =>
+      Seq(s"$name ms", s"$name #Calls") ++ (if (cfg.etT > 0) Seq(s"$name b0/b") else Nil)
+    } :+ "#cliques"
+    val rows = data.map { case (graph, results) =>
+      graph +: results.zip(cfgs).flatMap { case (r, (_, cfg)) =>
+        val st = r.stats
+        Seq(fmtMs(r.millis), fmtCalls(st.calls)) ++ (if (cfg.etT == 0) Nil
+          else if (st.plexBranches == 0) Seq("n/a")
+          else Seq(f"${100.0 * st.etApplied / st.plexBranches}%.1f%%"))
+      } :+ results.head.stats.cliques.toString
     }
-    writeTsv(tsv, header, rows)
-    // Companion block: recursive-call counts. At our ~1/100 scale the fixed
-    // ordering/subgraph-construction cost of the hybrid is not amortized the
-    // way it is on the paper's 10^6..10^8-edge graphs, so the search-tree
-    // size is the scale-robust signal of the algorithmic comparison
-    // (see EXPERIMENTS.md).
-    val callRows = data.map { case (name, results) =>
-      name +: results.map(r => fmtCalls(r.stats.calls))
-    }
-    writeTsv(tsv.replace(".tsv", "_calls.tsv"), header.dropRight(1), callRows)
-    renderTable(title, header, rows) + "\n\n" +
-      renderTable(title.takeWhile(_ != ':') + ": #Calls (ours)", header.dropRight(1), callRows) +
-      "\n\n" + paper
+    (header, rows)
   }
 
-  // ------------------------------------------------------------ Table IV
-
-  val table4Cfgs: Seq[(String, MceConfig)] = (1 to 3).map(d => s"d=$d" -> MceConfig.hbbmcDepth(d))
-
-  def table4(): String = {
-    val data = sweep(table4Cfgs)
-    val header = "Graph" +: table4Cfgs.flatMap { case (d, _) => Seq(s"$d ms", s"$d #Calls") }
-    val rows = data.map { case (name, rs) =>
-      name +: rs.flatMap(r => Seq(fmtMs(r.millis), fmtCalls(r.stats.calls)))
-    }
-    writeTsv("table4.tsv", header, rows)
-    renderTable("Table IV: depth of the edge-oriented phase", header, rows) +
-      "\n\n" + PaperNumbers.table4
+  /** Run `s`, write `table<id>.tsv` and return the table with the paper's
+    * below it.
+    */
+  def runSweep(s: Sweep): String = {
+    val (header, rows) = sweepTable(s.cfgs, sweep(s.cfgs))
+    writeTsv(s"table${s.id}.tsv", header, rows)
+    renderTable(s.title, header, rows) + "\n\n" + s.paper
   }
-
-  // ------------------------------------------------------------- Table V
-
-  val table5Cfgs: Seq[(String, MceConfig)] = (0 to 3).map(t => s"t=$t" -> MceConfig.hbbmcT(t))
-
-  def table5(): String = {
-    val data = sweep(table5Cfgs)
-    val header = "Graph" +: table5Cfgs.flatMap { case (t, cfg) =>
-      Seq(s"$t ms", s"$t #Calls") ++ (if (cfg.etT > 0) Seq(s"$t Ratio") else Nil) }
-    val rows = data.map { case (name, rs) =>
-      name +: rs.zip(table5Cfgs).flatMap { case (r, (_, cfg)) =>
-        val base = Seq(fmtMs(r.millis), fmtCalls(r.stats.calls))
-        if (cfg.etT == 0) base
-        else {
-          val ratio =
-            if (r.stats.plexBranches == 0) "n/a"
-            else f"${100.0 * r.stats.etApplied / r.stats.plexBranches}%.1f%%"
-          base :+ ratio
-        }
-      }
-    }
-    writeTsv("table5.tsv", header, rows)
-    renderTable("Table V: early-termination parameter t", header, rows) +
-      "\n\n" + PaperNumbers.table5
-  }
-
-  // ------------------------------------------------------------ Table VI
-
-  val table6Cfgs: Seq[(String, MceConfig)] =
-    named("HBBMC++", "VBBMC-dgn", "HBBMC-dgn", "HBBMC-mdg")
-
-  def table6(): String = genericTimeTable("Table VI: effect of the level-1 ordering (ms)",
-    "table6.tsv", table6Cfgs, PaperNumbers.table6)
 
   // ------------------------------------------- extra: distributed scaling
 

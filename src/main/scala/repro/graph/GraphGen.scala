@@ -58,6 +58,9 @@ object GraphGen {
     *                      graphs owe their large δ-vs-τ gap to such cores
     *                      (degree-dense, triangle-sparser than a clique);
     *                      perfect planted cliques alone give δ ≈ τ + 1.
+    * @param pocketP       edge probability inside a pocket, one random draw
+    *                      per pair; at exactly 1.0 a pocket is planted as a
+    *                      clique and draws none, which shifts every later draw.
     */
   final case class DatasetConfig(
       name: String,
@@ -90,13 +93,29 @@ object GraphGen {
     val rng = new Random(cfg.seed)
     val edges = new ArrayBuffer[(Int, Int)]()
     val targets = new ArrayBuffer[Int]()
-    if (cfg.baDeg >= 1) {
-      val backbone = ba(cfg.n, cfg.baDeg, cfg.seed + 1)
-      backbone.edgePairs.foreach { e =>
-        edges += e
-        if (cfg.hubBias) { targets += e._1; targets += e._2 }
+    def addEdge(a: Int, b: Int): Unit = {
+      edges += ((a, b))
+      if (cfg.hubBias) { targets += a; targets += b }
+    }
+    // Joins each pair of `members` with probability p, in iteration order;
+    // p = 1 (a clique) draws no random number.
+    def plant(members: java.util.HashSet[Integer], p: Double): Unit = {
+      val arr = new Array[Int](members.size)
+      val it = members.iterator()
+      var i = 0
+      while (it.hasNext) { arr(i) = it.next().intValue(); i += 1 }
+      var a = 0
+      while (a < arr.length) {
+        var b = a + 1
+        while (b < arr.length) {
+          if (p >= 1.0 || rng.nextDouble() < p) addEdge(arr(a), arr(b))
+          b += 1
+        }
+        a += 1
       }
     }
+    if (cfg.baDeg >= 1)
+      ba(cfg.n, cfg.baDeg, cfg.seed + 1).edgePairs.foreach { case (a, b) => addEdge(a, b) }
     // Mega-hubs: a few vertices with very wide, mostly sparse neighborhoods
     // (vertex-oriented branching over such hubs is what makes δ-driven
     // algorithms expensive on graphs like digg; edge branches stay small).
@@ -104,13 +123,10 @@ object GraphGen {
     while (h < cfg.nHubs) {
       val members = new java.util.HashSet[Integer]()
       while (members.size < cfg.hubDeg) members.add(1 + rng.nextInt(cfg.n - 1))
-      val it0 = members.iterator()
-      while (it0.hasNext) {
-        val t = it0.next().intValue()
-        if (t != h) {
-          edges += ((h, t))
-          if (cfg.hubBias) { targets += h; targets += t }
-        }
+      val it = members.iterator()
+      while (it.hasNext) {
+        val t = it.next().intValue()
+        if (t != h) addEdge(h, t)
       }
       h += 1
     }
@@ -123,22 +139,7 @@ object GraphGen {
       val size = cfg.pocketMin + rng.nextInt(math.max(1, cfg.pocketMax - cfg.pocketMin + 1))
       val members = new java.util.HashSet[Integer]()
       while (members.size < size) members.add(sampleMember())
-      val arr = new Array[Int](members.size)
-      val it = members.iterator()
-      var i = 0
-      while (it.hasNext) { arr(i) = it.next().intValue(); i += 1 }
-      var a = 0
-      while (a < arr.length) {
-        var b = a + 1
-        while (b < arr.length) {
-          if (rng.nextDouble() < cfg.pocketP) {
-            edges += ((arr(a), arr(b)))
-            if (cfg.hubBias) { targets += arr(a); targets += arr(b) }
-          }
-          b += 1
-        }
-        a += 1
-      }
+      plant(members, cfg.pocketP)
       pk += 1
     }
     var c = 0
@@ -152,20 +153,7 @@ object GraphGen {
       } else {
         while (members.size < size) members.add(sampleMember())
       }
-      val arr = new Array[Int](members.size)
-      val it = members.iterator()
-      var i = 0
-      while (it.hasNext) { arr(i) = it.next().intValue(); i += 1 }
-      var a = 0
-      while (a < arr.length) {
-        var b = a + 1
-        while (b < arr.length) {
-          edges += ((arr(a), arr(b)))
-          if (cfg.hubBias) { targets += arr(a); targets += arr(b) }
-          b += 1
-        }
-        a += 1
-      }
+      plant(members, 1.0)
       c += 1
     }
     LocalGraph.fromEdges(cfg.n, edges)

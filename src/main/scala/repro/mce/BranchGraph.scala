@@ -180,9 +180,10 @@ object BranchResult {
   * The layout and the matrices live in the per-thread [[Workspace]] and
   * are reused across anchors, and so do a branch's C, X, S prefix and, in
   * the uncommon case that some candidate pair is already consumed, its
-  * surviving rows (`BranchGraph.dropConsumed`): a branch allocates only its
-  * `BranchGraph` and `Branch` records, and each is valid until the next
-  * branch is built.
+  * surviving rows (`BranchGraph.dropConsumed`). The anchor's branches share
+  * at most two `BranchGraph`s, one over H and one over the surviving rows, so
+  * a branch allocates only its `Branch` record, valid until the next branch
+  * is built.
   */
 final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
                           needRanks: Boolean, ws: Workspace) {
@@ -210,6 +211,10 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
   private val h = ws.hFlat
   private val hRank = ws.hRank
   private val localRanks = if (needRanks) hRank else null
+  /** The anchor's branch graph with no consumed pair: surv = full = H. */
+  private val clean = new BranchGraph(nLoc, words, h, h, ids, localRanks, ws)
+  /** Its branch graph on `ws.survRows`, made on the first branch that needs it. */
+  private var dropped: BranchGraph = null
 
   /** Local index of a neighbor w of u — valid while this anchor's marks are
     * current (all of an anchor's branches run before the next anchor).
@@ -253,8 +258,12 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
       x(i) = h(rowV + i) & ~(if (i < cWords) c(i) else 0L)
       i += 1
     }
-    val surv = BranchGraph.dropConsumed(h, nLoc, words, c, hRank, r, ws.survRows)
-    val bg = new BranchGraph(nLoc, words, surv, h, ids, localRanks, ws)
+    val bg =
+      if (BranchGraph.dropConsumed(h, nLoc, words, c, hRank, r, ws.survRows) eq h) clean
+      else {
+        if (dropped == null) dropped = new BranchGraph(nLoc, words, ws.survRows, h, ids, localRanks, ws)
+        dropped
+      }
     BranchResult.Branch(bg, c, x, ws.pair)
   }
 }

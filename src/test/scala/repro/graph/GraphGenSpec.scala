@@ -60,4 +60,35 @@ class GraphGenSpec extends SparkSpec {
     assert(g.n == 12)
     assert(g.m <= 66)
   }
+
+  test("generated graphs are pinned: n, m and a digest of each endpoint array") {
+    // The benchmark's `hubs` input at its base seed, copied here so that a
+    // change to the generator shows in tier-1 rather than in the benchmark.
+    val hubs = GraphGen.DatasetConfig("HB", "hubs", 20000, 4, 300, 4, 12, 0, 201, 6, 40, 60, 0.6,
+      nHubs = 12, hubDeg = 5000)
+    val got = (GraphGen.paperSuite :+ GraphGen.xl :+ hubs).map { c =>
+      val g = GraphGen.generate(c)
+      c.name -> ((g.n, g.m, java.util.Arrays.hashCode(g.eu), java.util.Arrays.hashCode(g.ev)))
+    }
+    val expected = Seq(
+      "NA" -> ((3500, 38125, 1120544548, 2040579826)),
+      "FB" -> ((4000, 36623, -418717244, -2074899544)),
+      "WE" -> ((8000, 14929, 692921672, 2119565019)),
+      "WK" -> ((6000, 45594, 751228898, -1615816830)),
+      "SH" -> ((5000, 37997, -2059656133, -197032253)),
+      "ST" -> ((6500, 63053, -1386897915, -1207433165)),
+      "DB" -> ((8000, 100117, -1868405836, 1026376918)),
+      "DE" -> ((3200, 64917, -843791466, -1994440331)),
+      "DG" -> ((6000, 109770, 2118499574, -1911352325)),
+      "YO" -> ((9000, 24095, -1020669883, 938463787)),
+      "PO" -> ((7000, 74724, 447850829, 354197669)),
+      "SK" -> ((7500, 69130, -2004995604, -653149580)),
+      "CN" -> ((8500, 57289, -269192025, 288345825)),
+      "BA" -> ((9000, 64370, -1704127249, 187659487)),
+      "OR" -> ((5500, 158507, -1734223820, 1513624881)),
+      "SO" -> ((9000, 68092, -1368457593, 2060190952)),
+      "XL" -> ((12000, 224769, -1019453343, 57286314)),
+      "HB" -> ((20000, 153181, 481062720, -1716357563)))
+    assert(got == expected)
+  }
 }

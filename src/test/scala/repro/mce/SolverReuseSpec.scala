@@ -8,7 +8,7 @@ import scala.util.Random
 /** The kernels reuse one `Solver` per workspace: branches of any widths,
   * early-termination hits and edge steps below level 1 solve on a shared
   * workspace exactly as on a fresh one, and in steady state they allocate
-  * nothing.
+  * nothing. An anchor's level-1 branches share its branch graphs.
   */
 class SolverReuseSpec extends SparkSpec {
   import SolverReuseSpec._
@@ -78,6 +78,26 @@ class SolverReuseSpec extends SparkSpec {
       assert(fresh.calls > 0)
       assert(solveOn(item.on(shared)) == fresh, s"branch $k")
     }
+  }
+
+  test("an anchor's branches share two branch graphs: one over H, one over the surviving rows") {
+    // a level-1 C rarely holds a consumed pair; in this graph two do (truss order)
+    val g = GraphGen.randomGnp(60, 0.5, 3)
+    var clean, dropped = 0
+    for (cfg <- Seq(MceConfig.hbbmcPP, MceConfig.hbbmcDgn)) {
+      val prep = Engine.prepare(g, cfg)
+      val ws = Engine.workspace(prep)
+      for (unit <- 0 until prep.units) {
+        val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit), needRanks = false, ws)
+        val graphs = (prep.anchorOff(unit) until prep.anchorOff(unit + 1)).map(k => ctx.branch(prep.anchorEdges(k)))
+          .collect { case b: BranchResult.Branch => b.bg }
+        val (overH, overSurv) = graphs.partition(bg => bg.survFlat eq bg.fullFlat)
+        assert(overH.forall(_ eq overH.head) && overSurv.forall(_ eq overSurv.head), s"$cfg anchor $unit")
+        assert(overH.forall(_.fullFlat eq ws.hFlat) && overSurv.forall(_.survFlat eq ws.survRows))
+        clean += overH.size; dropped += overSurv.size
+      }
+    }
+    assert(clean > 0 && dropped > 0, s"$clean clean and $dropped dropped branches")
   }
 
   test("after a warm-up, repeated solves on one workspace allocate nothing") {
