@@ -45,7 +45,6 @@ object Degeneracy {
     val pos = new Array[Int](n)
     val coreness = new Array[Int](n)
     var delta = 0
-    val removed = new Array[Boolean](n)
     var i = 0
     while (i < n) {
       val u = vert(i)
@@ -53,15 +52,15 @@ object Degeneracy {
       coreness(u) = delta
       order(i) = u
       pos(u) = i
-      removed(u) = true
       var p = g.offsets(u); val pe = g.offsets(u + 1)
       while (p < pe) {
         val w = g.adj(p)
         // Only demote neighbors in strictly higher buckets: a neighbor already
         // at the current minimum keeps its bucket (its removal-time degree is
         // already determined), which also keeps bucket starts inside the
-        // unscanned region.
-        if (!removed(w) && deg(w) > deg(u)) {
+        // unscanned region. Vertices leave in non-decreasing degree, so a
+        // removed neighbor never passes this test.
+        if (deg(w) > deg(u)) {
           // Move w one bucket down: swap with the first vertex of its bucket.
           val dw = deg(w)
           val pw = posIn(w)

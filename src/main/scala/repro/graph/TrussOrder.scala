@@ -1,13 +1,12 @@
 package repro.graph
 
 
-/** An ordering of the canonical edges of a graph.
+/** The truss ordering of the canonical edges of a graph.
   *
   * @param rank  rank(edgeId) = position in the ordering (0-based; smaller = earlier)
-  * @param bound max over all edges e of the number of common neighbors w of
-  *              e's endpoints whose both cross edges are ranked *after* e —
-  *              i.e. the size bound of the level-1 candidate graphs. For the
-  *              truss-based ordering this is the paper's τ.
+  * @param bound τ, the largest support an edge has when the peel removes
+  *              it: no level-1 candidate graph of this ordering holds more
+  *              than τ vertices
   */
 final case class EdgeOrderResult(rank: Array[Int], bound: Int) extends Serializable
 
@@ -138,8 +137,8 @@ object TrussOrder {
   }
 }
 
-/** Alternative level-1 edge orderings (paper Table VI) plus a generic
-  * evaluator for the candidate-size bound achieved by any ordering.
+/** The level-1 edge orderings of paper Table VI. Only the truss ordering
+  * proves a candidate-size bound (τ); the other two are rank arrays.
   */
 object EdgeOrders {
 
@@ -151,63 +150,31 @@ object EdgeOrders {
     * of their endpoints — each edge oriented (earlier pos, later pos), then
     * sorted lexicographically.
     */
-  def degeneracyLex(g: LocalGraph, deg: DegeneracyResult): EdgeOrderResult = {
-    val keys = Array.tabulate(g.m) { e =>
+  def degeneracyLex(g: LocalGraph, deg: DegeneracyResult): Array[Int] =
+    fromKeys(Array.tabulate(g.m) { e =>
       val pu = deg.pos(g.eu(e)); val pv = deg.pos(g.ev(e))
       val lo = math.min(pu, pv).toLong; val hi = math.max(pu, pv).toLong
       (lo << 32) | hi
-    }
-    fromKeys(g, keys)
-  }
+    })
 
   /** `HBBMC-mdg`: edges in non-decreasing order of the trivial support
     * upper bound min(deg(u), deg(v)) − 1.
     */
-  def minDegree(g: LocalGraph): EdgeOrderResult = {
-    val keys = Array.tabulate(g.m) { e =>
+  def minDegree(g: LocalGraph): Array[Int] =
+    fromKeys(Array.tabulate(g.m) { e =>
       val d = math.min(g.degree(g.eu(e)), g.degree(g.ev(e))).toLong
       (d << 32) | e.toLong // the edge id breaks ties and keeps keys distinct
-    }
-    fromKeys(g, keys)
-  }
+    })
 
   /** Rank the edges by `keys`, which are distinct: an edge's rank is the
     * index of its key in the sorted keys.
     */
-  private def fromKeys(g: LocalGraph, keys: Array[Long]): EdgeOrderResult = {
+  private def fromKeys(keys: Array[Long]): Array[Int] = {
     val sorted = keys.clone()
     java.util.Arrays.sort(sorted)
-    val rank = new Array[Int](g.m)
+    val rank = new Array[Int](keys.length)
     var e = 0
-    while (e < g.m) { rank(e) = java.util.Arrays.binarySearch(sorted, keys(e)); e += 1 }
-    EdgeOrderResult(rank, achievedBound(g, rank))
-  }
-
-  /** The candidate-size bound an ordering actually achieves: for each edge e,
-    * count the common neighbors w of its endpoints with both cross edges
-    * ranked after e; take the max. For the truss ordering this equals τ.
-    */
-  def achievedBound(g: LocalGraph, rank: Array[Int]): Int = {
-    var best = 0
-    var e = 0
-    while (e < g.m) {
-      val u = g.eu(e); val v = g.ev(e)
-      val r = rank(e)
-      var c = 0
-      // merge N(u) and N(v); a match w gives both cross edges' slots
-      var i = g.offsets(u); var j = g.offsets(v)
-      val ie = g.offsets(u + 1); val je = g.offsets(v + 1)
-      while (i < ie && j < je) {
-        val a = g.adj(i); val b = g.adj(j)
-        if (a == b) {
-          if (rank(g.adjEdge(i)) > r && rank(g.adjEdge(j)) > r) c += 1
-          i += 1; j += 1
-        } else if (a < b) i += 1
-        else j += 1
-      }
-      best = math.max(best, c)
-      e += 1
-    }
-    best
+    while (e < keys.length) { rank(e) = java.util.Arrays.binarySearch(sorted, keys(e)); e += 1 }
+    rank
   }
 }

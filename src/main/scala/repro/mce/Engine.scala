@@ -1,6 +1,6 @@
 package repro.mce
 
-import repro.graph.{Degeneracy, EdgeOrderResult, EdgeOrders, ForwardLists, LocalGraph, TrussOrder}
+import repro.graph.{Degeneracy, EdgeOrders, ForwardLists, LocalGraph, TrussOrder}
 
 /** Which ordering drives level-1 edge branching (paper Table VI). */
 sealed trait EdgeOrderKind extends Serializable
@@ -84,7 +84,9 @@ final class Prepared(
     val closed: Array[Boolean], // per reduced edge: GR's closed flag
     val cfg: MceConfig,
     val edgeRank: Array[Int], // null unless level-1 is edge-ordered
-    val orderBound: Int,      // τ for truss; achieved bound otherwise
+    // τ from the truss peel: no level-1 C holds more vertices. Int.MaxValue
+    // (no bound proven) for the other orderings and a vertex level 1.
+    val orderBound: Int,
     val degenPos: Array[Int], // null unless level-1 is vertex-oriented
     val forward: ForwardLists, // of `reduced`; every level-1 neighborhood is built from them
     val directCliques: Array[Array[Int]], // original ids, from GR
@@ -117,7 +119,7 @@ object Engine {
     val degen = if (gr.removedAny) Degeneracy.compute(reduced) else gr.degeneracy
     val forward = ForwardLists(reduced, degen.pos)
     var edgeRank: Array[Int] = null
-    var bound = 0
+    var bound = Int.MaxValue
     var degenPos: Array[Int] = null
     var anchorVerts: Array[Int] = Array.emptyIntArray
     var anchorOff: Array[Int] = Array.emptyIntArray
@@ -126,13 +128,14 @@ object Engine {
       case Level1.VertexDegeneracy =>
         degenPos = degen.pos
       case Level1.EdgeOrdered(kind) =>
-        val res: EdgeOrderResult = kind match {
-          case EdgeOrderKind.Truss    => TrussOrder.compute(forward)
+        edgeRank = kind match {
+          case EdgeOrderKind.Truss =>
+            val truss = TrussOrder.compute(forward)
+            bound = truss.bound
+            truss.rank
           case EdgeOrderKind.DegenLex => EdgeOrders.degeneracyLex(reduced, degen)
           case EdgeOrderKind.MinDeg   => EdgeOrders.minDegree(reduced)
         }
-        edgeRank = res.rank
-        bound = res.bound
         // Group the edge branches by an anchor endpoint (the smaller-degree
         // one, the smaller id on a tie) so the anchor's neighborhood
         // structures are built once per vertex. A vertex's adjacency slots

@@ -1,7 +1,7 @@
 package repro
 
 import repro.graph.{ForwardLists, LocalGraph}
-import repro.mce.{Bits, BranchGraph, Workspace}
+import repro.mce.{AnchorContext, Bits, BranchGraph, BranchResult, Engine, Prepared, Workspace}
 
 /** Small deterministic graphs and helpers shared across test suites. */
 object TestGraphs {
@@ -13,6 +13,58 @@ object TestGraphs {
     */
   def commonNeighbors(g: LocalGraph, u: Int, v: Int): Array[Int] =
     g.neighbors(u).filter(g.hasEdge(v, _))
+
+  /** The candidate-size bound an edge ordering achieves: for each edge e,
+    * count the common neighbours w of its endpoints with both cross edges
+    * ranked after e; take the max. That count is the |C| of e's level-1
+    * branch, so for the truss ordering the max is τ.
+    */
+  def achievedBound(g: LocalGraph, rank: Array[Int]): Int = {
+    var best = 0
+    var e = 0
+    while (e < g.m) {
+      val u = g.eu(e); val v = g.ev(e)
+      val r = rank(e)
+      var c = 0
+      // merge N(u) and N(v); a match w gives both cross edges' slots
+      var i = g.offsets(u); var j = g.offsets(v)
+      val ie = g.offsets(u + 1); val je = g.offsets(v + 1)
+      while (i < ie && j < je) {
+        val a = g.adj(i); val b = g.adj(j)
+        if (a == b) {
+          if (rank(g.adjEdge(i)) > r && rank(g.adjEdge(j)) > r) c += 1
+          i += 1; j += 1
+        } else if (a < b) i += 1
+        else j += 1
+      }
+      best = math.max(best, c)
+      e += 1
+    }
+    best
+  }
+
+  /** Build every level-1 branch of `prep` on `ws`, in unit order, and hand
+    * each to `f` before building the next: an anchor's branches share their
+    * branch graph.
+    */
+  def foreachLevel1(prep: Prepared, ws: Workspace)(f: BranchResult => Unit): Unit =
+    for (unit <- 0 until prep.units)
+      if (prep.edgeRank == null) f(BranchGraph.forVertexBranch(prep.reduced, prep.degenPos, unit, ws))
+      else {
+        val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit),
+          prep.cfg.edgeDepth >= 2, ws)
+        for (k <- prep.anchorOff(unit) until prep.anchorOff(unit + 1)) f(ctx.branch(prep.anchorEdges(k)))
+      }
+
+  /** The largest |C| among the non-trivial level-1 branches of `prep`. */
+  def maxLevel1C(prep: Prepared): Int = {
+    var max = 0
+    foreachLevel1(prep, Engine.workspace(prep)) {
+      case b: BranchResult.Branch => max = math.max(max, Bits.count(b.c))
+      case _: BranchResult.Trivial =>
+    }
+    max
+  }
 
   /** Path 0-1-2-...-(n-1). */
   def path(n: Int): LocalGraph = of(n, (0 until n - 1).map(i => (i, i + 1)): _*)

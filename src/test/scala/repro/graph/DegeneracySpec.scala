@@ -63,6 +63,37 @@ class DegeneracySpec extends SparkSpec {
     (0 until g.n).foreach(v => assert(d.coreness(v) <= g.degree(v)))
   }
 
+  /** Core numbers by definition: v's is the largest k whose k-core (what
+    * is left after repeatedly deleting vertices of degree below k) holds v.
+    */
+  private def bruteCoreness(g: LocalGraph): Array[Int] = {
+    val core = new Array[Int](g.n)
+    var k = 1
+    var alive = (0 until g.n).toSet
+    while (alive.nonEmpty) {
+      var low = alive.filter(v => g.neighbors(v).count(alive.contains) < k)
+      while (low.nonEmpty) {
+        alive --= low
+        low = alive.filter(v => g.neighbors(v).count(alive.contains) < k)
+      }
+      alive.foreach(core(_) = k)
+      k += 1
+    }
+    core
+  }
+
+  test("coreness never decreases along order and equals the k-core number") {
+    for (seed <- 0 until 6) {
+      val g = GraphGen.randomGnp(30 + 5 * seed, 0.1 + 0.05 * seed, seed + 300)
+      val d = Degeneracy.compute(g)
+      d.order.sliding(2).foreach {
+        case Array(a, b) => assert(d.coreness(a) <= d.coreness(b), s"seed=$seed: vertices $a then $b")
+        case _           =>
+      }
+      assert(d.coreness.sameElements(bruteCoreness(g)), s"seed=$seed")
+    }
+  }
+
   for (seed <- 0 until 15)
     test(s"delta matches brute-force peeling, seed=$seed") {
       val rng = new Random(seed)

@@ -89,8 +89,8 @@ class TrussOrderSpec extends SparkSpec {
         (math.min(pu, pv).toLong << 32) | math.max(pu, pv)
       }
       val mdg = boxedRanks(e => (math.min(g.degree(g.eu(e)), g.degree(g.ev(e))).toLong << 32) | e)
-      assert(EdgeOrders.degeneracyLex(g, deg).rank.sameElements(lex), cfg.name)
-      assert(EdgeOrders.minDegree(g).rank.sameElements(mdg), cfg.name)
+      assert(EdgeOrders.degeneracyLex(g, deg).sameElements(lex), cfg.name)
+      assert(EdgeOrders.minDegree(g).sameElements(mdg), cfg.name)
     }
   }
 
@@ -140,7 +140,7 @@ class TrussOrderSpec extends SparkSpec {
     for (seed <- 0 until 8) {
       val g = GraphGen.randomGnp(25, 0.35, seed)
       val r = EdgeOrders.truss(g)
-      assert(EdgeOrders.achievedBound(g, r.rank) == r.bound)
+      assert(TestGraphs.achievedBound(g, r.rank) == r.bound)
     }
   }
 
@@ -159,8 +159,8 @@ class TrussOrderSpec extends SparkSpec {
     for (seed <- 0 until 6) {
       val g = GraphGen.randomGnp(30, 0.3, seed + 500)
       val truss = EdgeOrders.truss(g).bound
-      val dgn = EdgeOrders.degeneracyLex(g, Degeneracy.compute(g)).bound
-      val mdg = EdgeOrders.minDegree(g).bound
+      val dgn = TestGraphs.achievedBound(g, EdgeOrders.degeneracyLex(g, Degeneracy.compute(g)))
+      val mdg = TestGraphs.achievedBound(g, EdgeOrders.minDegree(g))
       assert(truss <= dgn, s"truss=$truss dgn=$dgn")
       assert(truss <= mdg, s"truss=$truss mdg=$mdg")
     }
@@ -170,13 +170,13 @@ class TrussOrderSpec extends SparkSpec {
     val g = GraphGen.randomGnp(30, 0.25, 9)
     val dgn = EdgeOrders.degeneracyLex(g, Degeneracy.compute(g))
     val mdg = EdgeOrders.minDegree(g)
-    assert(dgn.rank.toSeq.sorted == (0 until g.m))
-    assert(mdg.rank.toSeq.sorted == (0 until g.m))
+    assert(dgn.toSeq.sorted == (0 until g.m))
+    assert(mdg.toSeq.sorted == (0 until g.m))
   }
 
   test("min-degree ordering sorts by endpoint min degree") {
     val g = GraphGen.randomGnp(20, 0.3, 10)
-    val r = EdgeOrders.minDegree(g).rank
+    val r = EdgeOrders.minDegree(g)
     val key = (e: Int) => math.min(g.degree(g.eu(e)), g.degree(g.ev(e)))
     val byRank = (0 until g.m).sortBy(r(_))
     byRank.sliding(2).foreach {

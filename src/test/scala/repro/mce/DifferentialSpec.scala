@@ -2,7 +2,7 @@ package repro.mce
 
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.graph.{GraphGen, LocalGraph}
 
 /** Differential tests on generated graphs shaped to reach the kernels'
@@ -40,6 +40,10 @@ class DifferentialSpec extends SparkSpec {
                     skip: Set[String] = Set.empty): Unit = {
     val kept = Engine.prepare(g, MceConfig.rDegen).reduced.n
     assert(4 * kept >= 3 * g.n, s"$name: GR keeps only $kept of ${g.n} vertices")
+    // Theorems 1 and 2 rest on |C| <= tau at level 1
+    val prep = Engine.prepare(g, MceConfig.hbbmcPP)
+    val maxC = TestGraphs.maxLevel1C(prep)
+    assert(maxC <= prep.orderBound, s"$name: a level-1 C holds $maxC vertices, tau = ${prep.orderBound}")
     for ((cfgName, cfg) <- configs if !skip(cfgName)) {
       val (got, stats) = Engine.collectLocal(g, cfg)
       assert(got == want,

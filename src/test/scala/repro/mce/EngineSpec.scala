@@ -96,6 +96,17 @@ class EngineSpec extends SparkSpec {
     val g = GraphGen.randomGnp(50, 0.3, 11)
     val prep = Engine.prepare(g, MceConfig.hbbmcPP)
     assert(prep.orderBound == repro.graph.EdgeOrders.truss(prep.reduced).bound)
+    // the other orderings and a vertex level 1 prove no bound
+    for (cfg <- Seq(MceConfig.hbbmcDgn, MceConfig.hbbmcMdg, MceConfig.rDegen))
+      assert(Engine.prepare(g, cfg).orderBound == Int.MaxValue, cfg)
+  }
+
+  test("every level-1 candidate set of HBBMC++ fits in the recorded order bound on the paper suite") {
+    for (ds <- GraphGen.paperSuite) {
+      val prep = Engine.prepare(GraphGen.generate(ds), MceConfig.hbbmcPP)
+      val maxC = TestGraphs.maxLevel1C(prep)
+      assert(maxC <= prep.orderBound, s"${ds.name}: a level-1 C holds $maxC vertices, tau = ${prep.orderBound}")
+    }
   }
 
   test("presets match the paper's algorithm naming") {

@@ -27,16 +27,10 @@ class SolverReuseSpec extends SparkSpec {
     val prep = Engine.prepare(g, cfg)
     val ws = Engine.workspace(prep)
     val out = ArrayBuffer.empty[Item]
-    def keep(r: BranchResult): Unit = r match {
+    TestGraphs.foreachLevel1(prep, ws) {
       case b: BranchResult.Branch => out += detach(b, cfg.kernelConfig, ws)
       case _: BranchResult.Trivial =>
     }
-    for (unit <- 0 until prep.units)
-      if (prep.edgeRank == null) keep(BranchGraph.forVertexBranch(prep.reduced, prep.degenPos, unit, ws))
-      else {
-        val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit), cfg.edgeDepth >= 2, ws)
-        for (k <- prep.anchorOff(unit) until prep.anchorOff(unit + 1)) keep(ctx.branch(prep.anchorEdges(k)))
-      }
     out.toSeq
   }
 
