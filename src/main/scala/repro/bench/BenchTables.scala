@@ -10,9 +10,10 @@ import repro.mce._
   *
   * Timings are wall-clock over the *sequential* engine (`Engine.runLocal`),
   * matching the paper's single-threaded C++ measurements; they include
-  * ordering generation, as the paper's do. Each sweep also asserts that
-  * every algorithm configuration found exactly the same number of maximal
-  * cliques — a strong cross-validation that runs on every bench.
+  * ordering generation, as the paper's do; a table cell is the median of
+  * `Repeats` runs. Each sweep also asserts that every algorithm
+  * configuration found exactly the same number of maximal cliques — a
+  * strong cross-validation that runs on every bench.
   * Results are printed paper-style and written as TSV under bench_results/.
   */
 object BenchTables {
@@ -35,6 +36,13 @@ object BenchTables {
     val stats = Engine.runLocal(g, cfg, CliqueSink.discard)
     val t1 = System.nanoTime()
     RunResult((t1 - t0) / 1e6, stats)
+  }
+
+  private val Repeats = 3 // timed runs per table cell
+  /** The median-time run of one cell's `runs`, which must all give the same statistics. */
+  def median(cell: String, runs: Seq[RunResult]): RunResult = {
+    require(runs.map(_.stats).distinct.size == 1, s"statistics differ between runs of $cell: ${runs.map(_.stats)}")
+    runs.sortBy(_.millis).apply(runs.size / 2)
   }
 
   @volatile private var warmed = false
@@ -84,13 +92,13 @@ object BenchTables {
     else c.toString
 
   /** Runs all `cfgs` on all datasets; asserts equal clique counts per
-    * dataset; returns per-dataset (times-ms, stats).
+    * dataset; returns per-dataset (median run per config).
     */
   def sweep(cfgs: Seq[(String, MceConfig)]): Seq[(String, Seq[RunResult])] = {
     warmup()
     datasetNames.map { name =>
       val g = dataset(name)
-      val results = cfgs.map { case (_, cfg) => timed(g, cfg) }
+      val results = cfgs.map { case (cfgName, cfg) => median(s"$cfgName on $name", Seq.fill(Repeats)(timed(g, cfg))) }
       val counts = results.map(_.stats.cliques).distinct
       require(counts.size == 1,
         s"clique-count mismatch on $name: ${cfgs.map(_._1).zip(results.map(_.stats.cliques))}")
@@ -161,7 +169,7 @@ object BenchTables {
   def runSweep(s: Sweep): String = {
     val (header, rows) = sweepTable(s.cfgs, sweep(s.cfgs))
     writeTsv(s"table${s.id}.tsv", header, rows)
-    renderTable(s.title, header, rows) + "\n\n" + s.paper
+    renderTable(s"${s.title} (ms: median of $Repeats runs)", header, rows) + "\n\n" + s.paper
   }
 
   // ------------------------------------------- extra: distributed scaling

@@ -183,7 +183,7 @@ object BranchResult {
   * surviving rows (`BranchGraph.dropConsumed`). The anchor's branches share
   * at most two `BranchGraph`s, one over H and one over the surviving rows, so
   * a branch allocates only its `Branch` record, valid until the next branch
-  * is built.
+  * is built. `Prepared.foreachBranch` makes one per anchor (`needRanks` iff d ≥ 2).
   */
 final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
                           needRanks: Boolean, ws: Workspace) {

@@ -76,7 +76,8 @@ object MceConfig {
 
 /** Precomputed, broadcast-able state of one enumeration: the reduced
   * graph with GR's closed edges and its degeneracy-forward lists, orderings,
-  * and the cliques GR emitted directly.
+  * and the cliques GR emitted directly; [[foreachBranch]] is the one walk
+  * from its level-1 units to their branches.
   */
 final class Prepared(
     val reduced: LocalGraph,
@@ -100,6 +101,25 @@ final class Prepared(
   def units: Int = cfg.level1 match {
     case Level1.VertexDegeneracy => reduced.n
     case _: Level1.EdgeOrdered   => anchorVerts.length
+  }
+
+  /** The degree a workspace must hold for `unit`: its anchor's or vertex's. */
+  def unitDegree(unit: Int): Int = cfg.level1 match {
+    case Level1.VertexDegeneracy => reduced.degree(unit)
+    case _: Level1.EdgeOrdered   => reduced.degree(anchorVerts(unit))
+  }
+
+  /** Build `unit`'s level-1 branches on `ws` in order and hand each to `f`,
+    * during which alone it is valid: one `forVertexBranch` for a vertex unit,
+    * one `AnchorContext.branch` per anchored edge for an anchor unit.
+    */
+  def foreachBranch(unit: Int, ws: Workspace)(f: BranchResult => Unit): Unit = cfg.level1 match {
+    case Level1.VertexDegeneracy =>
+      f(BranchGraph.forVertexBranch(reduced, degenPos, unit, ws))
+    case _: Level1.EdgeOrdered =>
+      val ctx = new AnchorContext(reduced, edgeRank, anchorVerts(unit), cfg.edgeDepth >= 2, ws)
+      var k = anchorOff(unit)
+      while (k < anchorOff(unit + 1)) { f(ctx.branch(anchorEdges(k))); k += 1 }
   }
 }
 
@@ -172,83 +192,54 @@ object Engine {
   def translatingSink(prep: Prepared, sink: CliqueSink): CliqueSink =
     new TranslateFilterSink(prep, sink)
 
-  /** Allocate the reusable construction and kernel scratch, sized for
-    * every unit of `prep`; one per run / partition.
-    */
+  /** The construction and kernel scratch for every unit of `prep`. */
   def workspace(prep: Prepared): Workspace = workspace(prep, Array.range(0, prep.units))
 
   /** The scratch for solving `units`: its neighborhood matrices are sized
-    * once, for the largest anchor (or, with a vertex level 1, vertex)
-    * degree among them, so a stripe without a hub allocates no hub-sized
-    * matrix.
+    * once, for the largest `unitDegree` among them, so a stripe without a
+    * hub allocates no hub-sized matrix.
     */
   private def workspace(prep: Prepared, units: Array[Int]): Workspace = {
-    val edges = prep.edgeRank != null
     var maxDegree = 0
     var i = 0
-    while (i < units.length) {
-      val v = if (edges) prep.anchorVerts(units(i)) else units(i)
-      maxDegree = math.max(maxDegree, prep.reduced.degree(v))
-      i += 1
-    }
-    new Workspace(prep.forward, maxDegree, ranks = edges)
+    while (i < units.length) { maxDegree = math.max(maxDegree, prep.unitDegree(units(i))); i += 1 }
+    new Workspace(prep.forward, maxDegree, ranks = prep.edgeRank != null)
   }
 
   /** Solve the level-1 `units` of `prep` in order on the calling thread,
     * emitting their cliques (original ids) to `sink`. This is the one runner
-    * behind `runLocal` and every Spark partition of `repro.dist.DistMCE`;
-    * the returned statistics exclude the direct cliques (see [[emitDirect]]).
+    * behind `runLocal` and every Spark partition of `repro.dist.DistMCE`,
+    * over `Prepared.foreachBranch`: a trivial branch is one call, the others
+    * run the kernels from level 2. The returned statistics exclude the
+    * direct cliques (see [[emitDirect]]).
     */
   def solveUnits(prep: Prepared, units: Array[Int], sink: CliqueSink): MceStats = {
     val counting = new CountingSink
     val counters = new Counters
     val translated = translatingSink(prep, new TeeSink(counting, sink))
     val ws = workspace(prep, units)
+    val solve = (branch: BranchResult) => {
+      counters.level1Branches += 1
+      branch match {
+        case BranchResult.Trivial(emit) =>
+          counters.calls += 1
+          if (emit != null) translated.emit(emit, emit.length)
+        case BranchResult.Branch(bg, c, x, s) =>
+          Kernels.solve(bg, c, x, s, level = 2, prep.cfg.kernelConfig, counters, translated)
+      }
+    }
     var i = 0
     while (i < units.length) {
-      solveUnit(prep, units(i), ws, counters, translated)
+      prep.foreachBranch(units(i), ws)(solve)
       i += 1
     }
     counters.toStats(counting)
   }
 
-  /** Solve level-1 branch `unit` (an anchor group of edges or a degeneracy
-    * position of the reduced graph).
-    */
-  private def solveUnit(prep: Prepared, unit: Int, ws: Workspace, counters: Counters,
-                        translated: CliqueSink): Unit = {
-    prep.cfg.level1 match {
-      case Level1.VertexDegeneracy =>
-        counters.level1Branches += 1
-        dispatch(prep, BranchGraph.forVertexBranch(prep.reduced, prep.degenPos, unit, ws),
-          counters, translated)
-      case _: Level1.EdgeOrdered =>
-        val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit),
-          prep.cfg.edgeDepth >= 2, ws)
-        var k = prep.anchorOff(unit)
-        val end = prep.anchorOff(unit + 1)
-        while (k < end) {
-          counters.level1Branches += 1
-          dispatch(prep, ctx.branch(prep.anchorEdges(k)), counters, translated)
-          k += 1
-        }
-    }
-  }
-
-  private def dispatch(prep: Prepared, result: BranchResult, counters: Counters,
-                       translated: CliqueSink): Unit = result match {
-    case BranchResult.Trivial(emit) =>
-      counters.calls += 1
-      if (emit != null) translated.emit(emit, emit.length)
-    case BranchResult.Branch(bg, c, x, s) =>
-      Kernels.solve(bg, c, x, s, level = 2, prep.cfg.kernelConfig, counters, translated)
-  }
-
   /** Run the whole enumeration sequentially. */
   def runLocal(g: LocalGraph, cfg: MceConfig, sink: CliqueSink): MceStats = {
     val prep = prepare(g, cfg)
-    val direct = emitDirect(prep, sink)
-    direct.merge(solveUnits(prep, Array.range(0, prep.units), sink))
+    emitDirect(prep, sink).merge(solveUnits(prep, Array.range(0, prep.units), sink))
   }
 
   /** Convenience: run and collect all cliques (original ids, sorted). */

@@ -1,7 +1,7 @@
 package repro
 
 import repro.graph.{ForwardLists, LocalGraph}
-import repro.mce.{AnchorContext, Bits, BranchGraph, BranchResult, Engine, Prepared, Workspace}
+import repro.mce.{Bits, BranchGraph, BranchResult, Engine, Prepared, Workspace}
 
 /** Small deterministic graphs and helpers shared across test suites. */
 object TestGraphs {
@@ -43,23 +43,11 @@ object TestGraphs {
     best
   }
 
-  /** Build every level-1 branch of `prep` on `ws`, in unit order, and hand
-    * each to `f` before building the next: an anchor's branches share their
-    * branch graph.
-    */
-  def foreachLevel1(prep: Prepared, ws: Workspace)(f: BranchResult => Unit): Unit =
-    for (unit <- 0 until prep.units)
-      if (prep.edgeRank == null) f(BranchGraph.forVertexBranch(prep.reduced, prep.degenPos, unit, ws))
-      else {
-        val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit),
-          prep.cfg.edgeDepth >= 2, ws)
-        for (k <- prep.anchorOff(unit) until prep.anchorOff(unit + 1)) f(ctx.branch(prep.anchorEdges(k)))
-      }
-
   /** The largest |C| among the non-trivial level-1 branches of `prep`. */
   def maxLevel1C(prep: Prepared): Int = {
+    val ws = Engine.workspace(prep)
     var max = 0
-    foreachLevel1(prep, Engine.workspace(prep)) {
+    for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws) {
       case b: BranchResult.Branch => max = math.max(max, Bits.count(b.c))
       case _: BranchResult.Trivial =>
     }

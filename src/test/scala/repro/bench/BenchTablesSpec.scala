@@ -24,6 +24,15 @@ class BenchTablesSpec extends SparkSpec {
       Seq("G2", "0.0", "12", "1234.5", "3.00B", "0.0%", "2.0", "1.00M", "33.3%", "7")))
   }
 
+  test("a cell reports its median run, and runs with different statistics are rejected") {
+    val runs = Seq(RunResult(9.0, stats(42, 1500, 3, 4)), RunResult(2.0, stats(42, 1500, 3, 4)),
+      RunResult(5.0, stats(42, 1500, 3, 4)))
+    assert(BenchTables.median("H on G1", runs) == runs(2))
+    val e = intercept[IllegalArgumentException](
+      BenchTables.median("H on G1", runs.updated(1, RunResult(2.0, stats(42, 1501, 3, 4)))))
+    assert(e.getMessage.contains("H on G1"), e.getMessage)
+  }
+
   test("each sweep names its configs once; Table IV runs d = 1..3 and Table V t = 0..3") {
     BenchTables.sweeps.foreach(s => assert(s.cfgs.map(_._1).distinct == s.cfgs.map(_._1), s.id))
     assert(BenchTables.sweeps.find(_.id == "5").get.cfgs.map(_._2.etT) == Seq(0, 1, 2, 3))

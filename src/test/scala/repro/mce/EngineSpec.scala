@@ -109,6 +109,36 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("a replay of every unit's branches through the public layers gives runLocal's statistics") {
+    // The benchmark's traced pass replays the engine this way: one workspace
+    // for every unit, each non-trivial branch solved from level 2, each
+    // trivial one counted as one call. The second graph has level-1
+    // branches whose C holds a consumed pair.
+    val graphs = Seq("NA" -> GraphGen.generate(GraphGen.byName("NA")), "G(60, 0.5)" -> GraphGen.randomGnp(60, 0.5, 3))
+    val configs = Seq("HBBMC++", "RDegen", "EBBMC", "HBBMC-dgn", "Fac++").map(n => n -> MceConfig.byName(n)) :+
+      ("HBBMC d=2" -> MceConfig.hbbmcDepth(2))
+    for ((gName, g) <- graphs; (cfgName, cfg) <- configs) {
+      val prep = Engine.prepare(g, cfg)
+      val counting = new CountingSink
+      val counters = new Counters
+      val sink = Engine.translatingSink(prep, counting)
+      val ws = Engine.workspace(prep)
+      for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws) { branch =>
+        counters.level1Branches += 1
+        branch match {
+          case BranchResult.Trivial(clique) =>
+            counters.calls += 1
+            if (clique != null) sink.emit(clique, clique.length)
+          case BranchResult.Branch(bg, c, x, s) =>
+            Kernels.solve(bg, c, x, s, 2, cfg.kernelConfig, counters, sink)
+        }
+      }
+      val replay = Engine.emitDirect(prep, CliqueSink.discard).merge(counters.toStats(counting))
+      val local = Engine.runLocal(g, cfg, CliqueSink.discard)
+      assert(replay == local, s"$cfgName on $gName: replay $replay, runLocal $local")
+    }
+  }
+
   test("presets match the paper's algorithm naming") {
     assert(MceConfig.hbbmcPP.etT == 3)
     assert(MceConfig.hbbmcP.etT == 0)

@@ -27,7 +27,7 @@ class SolverReuseSpec extends SparkSpec {
     val prep = Engine.prepare(g, cfg)
     val ws = Engine.workspace(prep)
     val out = ArrayBuffer.empty[Item]
-    TestGraphs.foreachLevel1(prep, ws) {
+    for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws) {
       case b: BranchResult.Branch => out += detach(b, cfg.kernelConfig, ws)
       case _: BranchResult.Trivial =>
     }
@@ -82,9 +82,11 @@ class SolverReuseSpec extends SparkSpec {
       val prep = Engine.prepare(g, cfg)
       val ws = Engine.workspace(prep)
       for (unit <- 0 until prep.units) {
-        val ctx = new AnchorContext(prep.reduced, prep.edgeRank, prep.anchorVerts(unit), needRanks = false, ws)
-        val graphs = (prep.anchorOff(unit) until prep.anchorOff(unit + 1)).map(k => ctx.branch(prep.anchorEdges(k)))
-          .collect { case b: BranchResult.Branch => b.bg }
+        val graphs = ArrayBuffer.empty[BranchGraph]
+        prep.foreachBranch(unit, ws) {
+          case b: BranchResult.Branch => graphs += b.bg
+          case _: BranchResult.Trivial =>
+        }
         val (overH, overSurv) = graphs.partition(bg => bg.survFlat eq bg.fullFlat)
         assert(overH.forall(_ eq overH.head) && overSurv.forall(_ eq overSurv.head), s"$cfg anchor $unit")
         assert(overH.forall(_.fullFlat eq ws.hFlat) && overSurv.forall(_.survFlat eq ws.survRows))
