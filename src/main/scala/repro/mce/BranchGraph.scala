@@ -20,10 +20,9 @@ import repro.graph.{ForwardLists, LocalGraph}
   * A level-1 build reads and writes the buffers of its workspace `ws`, so a
   * branch it returns is valid until the next level-1 build on `ws`.
   *
-  * @param localRank row-major rank matrix (stride `nLoc`) of the local
-  *                  candidate pairs, for edge-branching below level 1
-  *                  (Table IV, d ≥ 2); null when only vertex kernels run.
-  *                  Cells of non-adjacent pairs are never read.
+  * @param localRank the anchor's pair ranks over `fullFlat`, for
+  *                  edge-branching below level 1 (Table IV, d ≥ 2); null
+  *                  when only vertex kernels run.
   * @param ws        the workspace whose `Solver` runs the branch's kernels
   */
 final class BranchGraph(
@@ -32,27 +31,70 @@ final class BranchGraph(
     val survFlat: Array[Long],
     val fullFlat: Array[Long],
     val globalIds: Array[Int],
-    val localRank: Array[Int],
+    val localRank: PairRanks,
     val ws: Workspace
 )
 
+/** The global edge rank of every adjacent pair {q, i} of `nLoc` rows of
+  * `words` longs, stored once, in the row of its larger end i: row by row,
+  * ascending q < i within a row, so the store follows the bit order of
+  * `rows` below its diagonal. `base(i * words + k)` is the number of pairs
+  * stored before word k of row i, so pair (i, q) with q < i is at its word's
+  * base plus the set bits below q in that word, and a row's ranks below the
+  * diagonal are one contiguous run. The store holds one rank per edge among
+  * the rows, at most nLoc·δ for an anchor and never more than the graph's
+  * m, where a dense matrix would hold nLoc². [[Workspace.neighborhood]]
+  * returns one over the workspace's buffers, valid until the next level-1
+  * build on that workspace.
+  */
+final class PairRanks(val rows: Array[Long], val nLoc: Int, val words: Int,
+                      val base: Array[Int], val rank: Array[Int]) {
+  /** The store index of the adjacent pair (i, q), q < i. */
+  def index(i: Int, q: Int): Int = {
+    val w = i * words + (q >>> 6)
+    base(w) + java.lang.Long.bitCount(rows(w) & ((1L << q) - 1))
+  }
+
+  /** The rank of the adjacent pair {i, q}, in either order. */
+  def apply(i: Int, q: Int): Int = rank(if (q < i) index(i, q) else index(q, i))
+
+  /** The word of `rows` that holds the pair at store index `idx`: the last
+    * word whose base is at most `idx`, by binary search.
+    */
+  def wordOf(idx: Int): Int = {
+    var lo = 0
+    var hi = nLoc * words - 1
+    while (lo < hi) {
+      val mid = (lo + hi + 1) >>> 1
+      if (base(mid) <= idx) lo = mid else hi = mid - 1
+    }
+    lo
+  }
+
+  /** The smaller end q of the pair at store index `idx`, which word `w`
+    * holds; its larger end is the row, `w / words`.
+    */
+  def columnOf(w: Int, idx: Int): Int = {
+    var word = rows(w)
+    var k = idx - base(w)
+    while (k > 0) { word &= word - 1; k -= 1 }
+    ((w % words) << 6) + java.lang.Long.numberOfTrailingZeros(word)
+  }
+}
+
 /** Reusable per-thread scratch for level-1 construction and the kernels:
-  * the layout buffers, global-id marks, the neighborhood matrices, a
-  * branch's C, X, S prefix and dropped rows, and the one `Kernels.Solver`.
-  * Everything is sized once, for neighborhoods of up to `maxDegree`
-  * vertices (with an nLoc × nLoc pair-rank matrix when `ranks`), or grows
-  * to the largest branch; what a level-1 build writes is valid until the
-  * next level-1 build. `forward` holds the forward lists of the graph whose
-  * neighborhoods it builds (`Prepared.forward`).
+  * the layout buffers, global-id marks, the neighborhood matrix and its pair
+  * ranks, a branch's C, X, S prefix and dropped rows, and the one
+  * `Kernels.Solver`. Everything is sized once, for neighborhoods of up to
+  * `maxDegree` vertices, except the rank store and the pair list that fills
+  * it (kept when `ranks`), which grow to the largest anchor's pair count and
+  * forward-list entries; no buffer is maxDegree² in size.
+  * What a level-1 build writes is valid until the next level-1 build.
+  * `forward` holds the forward lists of the graph whose neighborhoods it
+  * builds (`Prepared.forward`).
   */
 final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ranks: Boolean) {
   private val maxWords = Bits.words(maxDegree)
-  if (ranks) {
-    val cells = maxDegree.toLong * maxDegree
-    require(cells <= Workspace.MaxAnchorCells,
-      s"an anchor of degree $maxDegree needs a $cells-cell pair-rank matrix; at most " +
-        s"${Workspace.MaxAnchorCells} cells (degree ${Workspace.MaxAnchorDegree}) fit in one array")
-  }
   private val rowWords = maxDegree.toLong * maxWords
   require(rowWords <= Int.MaxValue,
     s"a neighborhood of degree $maxDegree needs a $rowWords-word adjacency matrix; at most " +
@@ -66,9 +108,14 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
   private val markStamp = new Array[Int](forward.n)
   val markLocal = new Array[Int](forward.n)
   private var stamp = 0
-  /** The neighborhood matrices of the last `neighborhood` call. */
+  /** The neighborhood matrix of the last `neighborhood` call. */
   val hFlat = new Array[Long](rowWords.toInt)
-  val hRank = new Array[Int](if (ranks) maxDegree * maxDegree else 0)
+  // the last ranked neighborhood's `PairRanks.base` and ranks, and the pairs
+  // that its walk found, (i << 32 | q) with q < i, with their ranks
+  private val pairBase = new Array[Int](if (ranks) rowWords.toInt else 0)
+  private var pairRank = Array.emptyIntArray
+  private var found = Array.emptyLongArray
+  private var foundRank = Array.emptyIntArray
 
   /** An edge branch's rows with its consumed pairs dropped. */
   private[mce] val survRows = new Array[Long](if (ranks) rowWords.toInt else 0)
@@ -97,16 +144,17 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
   /** The one builder of level-1 neighborhood adjacency. Marks each
     * `ids(i)`, i < `nLoc`, with local index i in `markLocal`, and sets in
     * `hFlat` (rows of `words` longs) both cells of every adjacent pair
-    * (i, q) with min(i, q) < `rowsEnd`; all other cells are zero. With
-    * `rank` non-null it also writes the pair's global edge rank into both
-    * cells of `hRank` (stride `nLoc`; other cells keep stale values). Each
-    * pair is found once, with its edge id, in the forward list of its
-    * earlier endpoint, so the build costs Σ_i fdeg(ids(i)) ≤ nLoc·δ.
+    * (i, q) with min(i, q) < `rowsEnd`; all other cells are zero. Each pair
+    * is found once, with its edge id, in the forward list of its earlier
+    * endpoint, so the walk costs Σ_i fdeg(ids(i)) ≤ nLoc·δ. With `rank`
+    * non-null the walk also lists each pair with its global edge rank; then
+    * the prefix counts of `hFlat`'s bits below the diagonal are taken, each
+    * listed rank is stored at its pair's index, and those [[PairRanks]] are
+    * returned. Without `rank` it returns null.
     */
-  def neighborhood(ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int, rank: Array[Int]): Unit = {
+  def neighborhood(ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int, rank: Array[Int]): PairRanks = {
     fit(nLoc, rank != null)
     val h = hFlat
-    val hr = hRank
     java.util.Arrays.fill(h, 0, nLoc * words, 0L)
     stamp += 1
     val st = stamp
@@ -117,6 +165,19 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
     val fOff = forward.off
     val fAdj = forward.adj
     val fEdge = forward.edge
+    if (rank != null) {
+      // the walk finds at most one pair per forward-list entry
+      var entries = 0
+      i = 0
+      while (i < nLoc) { entries += fOff(ids(i) + 1) - fOff(ids(i)); i += 1 }
+      if (found.length < entries) {
+        found = new Array[Long](math.max(entries, 2 * found.length))
+        foundRank = new Array[Int](found.length)
+      }
+    }
+    val listed = found
+    val listedRank = foundRank
+    var n = 0
     i = 0
     while (i < nLoc) {
       var p = fOff(ids(i))
@@ -128,8 +189,9 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
           if (i < rowsEnd || q < rowsEnd) {
             Bits.setRow(h, i * words, q); Bits.setRow(h, q * words, i)
             if (rank != null) {
-              val er = rank(fEdge(p))
-              hr(i * nLoc + q) = er; hr(q * nLoc + i) = er
+              listed(n) = (math.max(i, q).toLong << 32) | math.min(i, q)
+              listedRank(n) = rank(fEdge(p))
+              n += 1
             }
           }
         }
@@ -137,15 +199,27 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
       }
       i += 1
     }
+    if (rank == null) return null
+    val base = pairBase
+    var stored = 0
+    i = 0
+    while (i < nLoc) {
+      var w = i * words
+      val diagonal = w + (i >>> 6)
+      while (w < diagonal) { base(w) = stored; stored += java.lang.Long.bitCount(h(w)); w += 1 }
+      base(w) = stored; stored += java.lang.Long.bitCount(h(w) & ((1L << i) - 1)); w += 1
+      while (w < (i + 1) * words) { base(w) = stored; w += 1 }
+      i += 1
+    }
+    if (pairRank.length < n) pairRank = new Array[Int](math.max(n, 2 * pairRank.length))
+    val store = new PairRanks(h, nLoc, words, base, pairRank)
+    var k = 0
+    while (k < n) {
+      pairRank(store.index((listed(k) >>> 32).toInt, listed(k).toInt)) = listedRank(k)
+      k += 1
+    }
+    store
   }
-}
-
-object Workspace {
-  /** Largest anchor degree whose nLoc × nLoc pair-rank matrix fits in one
-    * JVM array; the pair keys of `Kernels.edgeRec` rely on it too.
-    */
-  val MaxAnchorDegree: Int = 46340
-  val MaxAnchorCells: Long = MaxAnchorDegree.toLong * MaxAnchorDegree
 }
 
 /** Outcome of building a level-1 branch. `Trivial` carries the clique to
@@ -167,17 +241,19 @@ object BranchResult {
   * Σ_(w ∈ C) deg(w) *per edge* — the paper instead amortizes subgraph
   * construction across the initial branch (Algorithm 3 line 4 initializes
   * the V±/E± sets once). We group edges by an anchor endpoint and build the
-  * anchor's neighborhood matrix `H` (adjacency among N(u)) plus a dense
-  * pair-rank matrix once; every anchored edge branch is then derived with
-  * word operations and O(1) rank lookups:
+  * anchor's neighborhood matrix `H` (adjacency among N(u)) plus the ranks of
+  * its adjacent pairs (a [[PairRanks]] store, one rank per adjacent pair)
+  * once; every anchored edge branch is then derived with word operations
+  * and rank reads:
   *
   *  - N(u) is laid out in descending rank(u,·) order, so the candidates of
   *    the branch of e = (u,v) live in the prefix [0, local(v)) — candidate
   *    bitsets span only words(local(v)) words;
   *  - the branch universe A = N(u) ∩ N(v) is exactly H's row of v;
-  *  - survival of a candidate pair (rank > rank(e)) is one matrix read.
+  *  - survival of a candidate w (rank(v,w) > rank(e)) reads row v's ranks
+  *    below its diagonal, one contiguous run in the order of its bits.
   *
-  * The layout and the matrices live in the per-thread [[Workspace]] and
+  * The layout, H and the ranks live in the per-thread [[Workspace]] and
   * are reused across anchors, and so do a branch's C, X, S prefix and, in
   * the uncommon case that some candidate pair is already consumed, its
   * surviving rows (`BranchGraph.dropConsumed`). The anchor's branches share
@@ -207,10 +283,9 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
     while (i < nLoc) { out(i) = keys(i).toInt; i += 1 }
     out
   }
-  ws.neighborhood(ids, nLoc, nLoc, words, rank)
+  private val pairRanks = ws.neighborhood(ids, nLoc, nLoc, words, rank)
   private val h = ws.hFlat
-  private val hRank = ws.hRank
-  private val localRanks = if (needRanks) hRank else null
+  private val localRanks = if (needRanks) pairRanks else null
   /** The anchor's branch graph with no consumed pair: surv = full = H. */
   private val clean = new BranchGraph(nLoc, words, h, h, ids, localRanks, ws)
   /** Its branch graph on `ws.survRows`, made on the first branch that needs it. */
@@ -234,9 +309,11 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
     ws.pair(0) = u; ws.pair(1) = v
     if (empty) return ws.pairClique
     // Candidates live in the prefix [0, vL): rank(u,w) > r there; keep those
-    // with rank(v,w) > r too.
+    // with rank(v,w) > r too: row v's ranks below its diagonal, in bit order.
     val cWords = Bits.words(math.max(1, vL))
     val c = ws.cSet(cWords)
+    val vRanks = pairRanks.rank
+    var next = pairRanks.base(rowV)
     var cCount = 0
     i = 0
     while (i < cWords) {
@@ -245,7 +322,8 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
       var kept = 0L
       while (word != 0L) {
         val b = java.lang.Long.numberOfTrailingZeros(word)
-        if (hRank(vL * nLoc + (i << 6) + b) > r) { kept |= 1L << b; cCount += 1 }
+        if (vRanks(next) > r) { kept |= 1L << b; cCount += 1 }
+        next += 1
         word &= word - 1
       }
       c(i) = kept
@@ -259,7 +337,7 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
       i += 1
     }
     val bg =
-      if (BranchGraph.dropConsumed(h, nLoc, words, c, hRank, r, ws.survRows) eq h) clean
+      if (BranchGraph.dropConsumed(h, c, pairRanks, r, ws.survRows) eq h) clean
       else {
         if (dropped == null) dropped = new BranchGraph(nLoc, words, ws.survRows, h, ids, localRanks, ws)
         dropped
@@ -273,37 +351,47 @@ object BranchGraph {
   /** The one consumed-pair rule of edge branching (DESIGN.md §4): once the
     * branch of an edge of rank `r` is taken, no pair ranked at or below `r`
     * may be used again. Returns `rows` itself when no pair inside `c` that
-    * is adjacent in `rows` has rank ≤ r (`ranks` is row-major, stride
-    * `nLoc`); otherwise `out` (at least nLoc × words longs, not `rows`) with
-    * `c`'s rows of `rows` copied in and exactly those pairs cleared. Other
-    * rows of `out` are not written and must not be read. Its callers are
-    * [[AnchorContext.branch]], for a level-1 branch, and every edge step of
-    * `Kernels.edgeRec`, for the step's child.
+    * is adjacent in `rows` has rank ≤ r (`ranks` is over the full rows, of
+    * which `rows` is a subset); otherwise `out` (at least nLoc × words longs,
+    * not `rows`) with `c`'s rows of `rows` copied in and exactly those pairs
+    * cleared. Other rows of `out` are not written and must not be read. Its
+    * callers are [[AnchorContext.branch]], for a level-1 branch, and every
+    * edge step of `Kernels.edgeRec`, for the step's child.
     */
-  def dropConsumed(rows: Array[Long], nLoc: Int, words: Int, c: Array[Long],
-                   ranks: Array[Int], r: Int, out: Array[Long]): Array[Long] = {
+  def dropConsumed(rows: Array[Long], c: Array[Long], ranks: PairRanks, r: Int,
+                   out: Array[Long]): Array[Long] = {
+    val words = ranks.words
+    val full = ranks.rows
+    val base = ranks.base
+    val rank = ranks.rank
     var dropped = rows
     var i = 0
     while (i < c.length) {
       var word = c(i)
       while (word != 0L) {
-        val a = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
+        val b = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
         word &= word - 1
-        // partners b > a inside c: the rest of word i, then later words
-        var k = i
-        while (k < c.length) {
-          var pair = rows(a * words + k) & c(k)
-          if (k == i) pair &= -2L << (a & 63)
-          while (pair != 0L) {
-            val b = (k << 6) + java.lang.Long.numberOfTrailingZeros(pair)
-            pair &= pair - 1
-            if (ranks(a * nLoc + b) <= r) {
-              if (dropped eq rows) {
-                copyRows(rows, out, words, c)
-                dropped = out
+        // partners a < b inside c, whose ranks row b stores in bit order:
+        // earlier words, then word i below b
+        var k = 0
+        while (k <= i) {
+          val w = b * words + k
+          var pair = rows(w) & c(k)
+          if (k == i) pair &= (1L << b) - 1
+          if (pair != 0L) {
+            val fullWord = full(w)
+            val wordBase = base(w)
+            while (pair != 0L) {
+              val a = (k << 6) + java.lang.Long.numberOfTrailingZeros(pair)
+              pair &= pair - 1
+              if (rank(wordBase + java.lang.Long.bitCount(fullWord & ((1L << a) - 1))) <= r) {
+                if (dropped eq rows) {
+                  copyRows(rows, out, words, c)
+                  dropped = out
+                }
+                Bits.clear2d(out, a * words, b)
+                Bits.clear2d(out, b * words, a)
               }
-              Bits.clear2d(out, a * words, b)
-              Bits.clear2d(out, b * words, a)
             }
           }
           k += 1

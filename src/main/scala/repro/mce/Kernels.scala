@@ -57,16 +57,14 @@ object Kernels {
             level: Int, cfg: KernelConfig, counters: Counters, sink: CliqueSink): Unit =
     bg.ws.solver.solve(bg, c, x, sPrefix, level, cfg, counters, sink)
 
-  /** Sort key of the candidate pair (i, j) of rank `rank` in an anchor of
-    * `nLoc` vertices: keys ascend by rank, then by (i, j). The cell
-    * `i * nLoc + j` fits in 31 bits because the anchor's pair-rank matrix
-    * exists (`Workspace.MaxAnchorDegree`).
+  /** Sort key of the candidate pair of rank `rank` at store index `idx` of
+    * its [[PairRanks]]: keys ascend by rank, then by index. Both are
+    * non-negative ints, so each fills one half of the key.
     */
-  private[mce] def pairKey(rank: Int, i: Int, j: Int, nLoc: Int): Long =
-    (rank.toLong << 32) | (i * nLoc + j)
+  private[mce] def pairKey(rank: Int, idx: Int): Long = (rank.toLong << 32) | idx
   private[mce] def keyRank(key: Long): Int = (key >>> 32).toInt
-  /** The cell `i * nLoc + j` of a [[pairKey]]. */
-  private[mce] def keyCell(key: Long): Int = key.toInt
+  /** The store index of a [[pairKey]]. */
+  private[mce] def keyIndex(key: Long): Int = key.toInt
 
   /** A stack of `width`-word bitsets: `take` hands out the next free slot,
     * and a caller frees everything taken since it read `top` by writing
@@ -133,7 +131,7 @@ object Kernels {
     private var counters: Counters = _
     private var sink: CliqueSink = _
     private var globalIds: Array[Int] = _
-    private var ranks: Array[Int] = _
+    private var ranks: PairRanks = _
     private var nLoc = 0
     private var W = 0
     // The rows in force; `surv eq full` means no consumed pair lies inside C.
@@ -545,8 +543,8 @@ object Kernels {
           var pair = c(i) & surv(a * W + i) & (-2L << (a & 63))
           while (q < c.length) {
             while (pair != 0L) {
-              val b = (q << 6) + java.lang.Long.numberOfTrailingZeros(pair)
-              edges(k) = pairKey(ranks(a * nLoc + b), a, b, nLoc); k += 1
+              val idx = ranks.index((q << 6) + java.lang.Long.numberOfTrailingZeros(pair), a)
+              edges(k) = pairKey(ranks.rank(idx), idx); k += 1
               pair &= pair - 1
             }
             q += 1
@@ -563,9 +561,10 @@ object Kernels {
       var ei = 0
       while (ei < nKeys) {
         val re = keyRank(edges(ei))
-        val cell = keyCell(edges(ei))
-        val a = cell / nLoc
-        val b = cell % nLoc
+        val idx = keyIndex(edges(ei))
+        val at = ranks.wordOf(idx) // the word of row b that holds a
+        val a = ranks.columnOf(at, idx)
+        val b = at / W
         val cMark = cPool.top
         val xMark = xPool.top
         // C' ⊆ C ∩ N_surv(a) ∩ N_surv(b) keeps the vertices whose edges to
@@ -579,7 +578,7 @@ object Kernels {
           var word = cNew(i)
           while (word != 0L) {
             val w = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
-            if (ranks(a * nLoc + w) <= re || ranks(b * nLoc + w) <= re) cNew(i) &= ~(word & -word)
+            if (ranks(a, w) <= re || ranks(b, w) <= re) cNew(i) &= ~(word & -word)
             word &= word - 1
           }
           i += 1
@@ -589,7 +588,7 @@ object Kernels {
         Bits.andIntoRow(xNew, xNew, full, b * W)
         Bits.andNotInPlace(xNew, cNew)
         buf(len) = globalIds(a); buf(len + 1) = globalIds(b); len += 2
-        surv = BranchGraph.dropConsumed(rows, nLoc, W, cNew, ranks, re, childRows)
+        surv = BranchGraph.dropConsumed(rows, cNew, ranks, re, childRows)
         dispatch(cNew, xNew, level + 1)
         surv = rows
         len -= 2

@@ -23,6 +23,23 @@ class EdgeBranchingSpec extends SparkSpec {
     (rows, ranks)
   }
 
+  /** The [[PairRanks]] of the adjacent cells of the dense `ranks`, laid out
+    * here one set bit of `rows` below the diagonal at a time.
+    */
+  private def store(rows: Array[Long], nLoc: Int, words: Int, ranks: Array[Int]): PairRanks = {
+    val base = new Array[Int](nLoc * words)
+    val stored = Array.newBuilder[Int]
+    var n = 0
+    for (w <- 0 until nLoc * words) {
+      base(w) = n
+      val i = w / words
+      for (bit <- 0 until 64; q = (w % words) * 64 + bit if q < i && (rows(w) >>> bit & 1L) != 0L) {
+        stored += ranks(i * nLoc + q); n += 1
+      }
+    }
+    new PairRanks(rows, nLoc, words, base, stored.result())
+  }
+
   /** Reference: drop every pair inside `c` adjacent in `rows` with rank ≤ r. */
   private def bruteDrop(rows: Array[Long], nLoc: Int, words: Int, c: Set[Int],
                         ranks: Array[Int], r: Int): Option[Array[Long]] = {
@@ -52,7 +69,7 @@ class EdgeBranchingSpec extends SparkSpec {
       cSet.foreach(Bits.set(c, _))
       for (r <- Seq(-1, rng.nextInt(30), rng.nextInt(100), 100)) {
         val rowsBefore = rows.clone()
-        val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, r, new Array[Long](nLoc * words))
+        val got = BranchGraph.dropConsumed(rows, c, store(rows, nLoc, words, ranks), r, new Array[Long](nLoc * words))
         assert(rows.sameElements(rowsBefore), "the input rows must not change")
         bruteDrop(rows, nLoc, words, cSet, ranks, r) match {
           case None => assert(got eq rows, s"r=$r: nothing consumed, want the rows themselves")
@@ -76,28 +93,29 @@ class EdgeBranchingSpec extends SparkSpec {
     val c = new Array[Long](words)
     Seq(0, 65, 66).foreach(Bits.set(c, _))
     val out = new Array[Long](nLoc * words)
-    assert(BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 8, out) eq rows)
-    val got = BranchGraph.dropConsumed(rows, nLoc, words, c, ranks, 9, out)
+    val stored = store(rows, nLoc, words, ranks)
+    assert(BranchGraph.dropConsumed(rows, c, stored, 8, out) eq rows)
+    val got = BranchGraph.dropConsumed(rows, c, stored, 9, out)
     assert(got eq out)
     assert(!Bits.getRow(got, 0, 65) && !Bits.getRow(got, 65 * words, 0))
     assert(Bits.isEmpty(got.slice(words, 2 * words)), "rows outside C are not copied")
   }
 
   test("pair keys round-trip ranks above 2^24 and sort by rank, then pair") {
-    val nLoc = Workspace.MaxAnchorDegree
+    // a store index is an array index, so Int.MaxValue bounds it
+    val last = Int.MaxValue
     val rank = (1 << 24) + 5
-    val key = Kernels.pairKey(rank, nLoc - 1, nLoc - 2, nLoc)
-    assert(Kernels.keyRank(key) == rank)
-    assert(Kernels.keyCell(key) / nLoc == nLoc - 1 && Kernels.keyCell(key) % nLoc == nLoc - 2)
+    val key = Kernels.pairKey(rank, last)
+    assert(Kernels.keyRank(key) == rank && Kernels.keyIndex(key) == last)
     val keys = Seq(
-      Kernels.pairKey(1 << 23, 0, 1, nLoc),
-      Kernels.pairKey((1 << 23) - 1, nLoc - 1, nLoc - 2, nLoc),
-      Kernels.pairKey(rank, 0, 1, nLoc),
-      Kernels.pairKey(rank, 0, 2, nLoc),
-      Kernels.pairKey(Int.MaxValue, 1, 0, nLoc))
+      Kernels.pairKey(1 << 23, 0),
+      Kernels.pairKey((1 << 23) - 1, last),
+      Kernels.pairKey(rank, 1),
+      Kernels.pairKey(rank, 2),
+      Kernels.pairKey(Int.MaxValue, last))
     assert(keys.sorted.map(Kernels.keyRank) ==
       Seq((1 << 23) - 1, 1 << 23, rank, rank, Int.MaxValue))
-    assert(keys.sorted.slice(2, 4).map(k => Kernels.keyCell(k) % nLoc) == Seq(1, 2))
+    assert(keys.sorted.map(Kernels.keyIndex) == Seq(last, 0, 1, 2, last))
   }
 
   test("EBBMC counts t-plex branches that early termination cannot take") {

@@ -205,9 +205,45 @@ class EngineSpec extends SparkSpec {
     assert(Engine.runLocal(twoHubs(47000), MceConfig.rDegen, new CountingSink).cliques == 47000)
   }
 
-  test("two-hub graph: an anchor too large for its pair-rank matrix fails with a clear message") {
-    val e = intercept[IllegalArgumentException](Engine.collectLocal(twoHubs(47000), MceConfig.hbbmcPP))
-    assert(e.getMessage.contains("degree 47001"), e.getMessage)
+  test("two-hub graph: HBBMC++ runs an anchor of degree 47,001 and matches RDegen") {
+    val g = twoHubs(47000)
+    val hbbmc = Engine.runLocal(g, MceConfig.hbbmcPP, new CountingSink)
+    val rdegen = Engine.runLocal(g, MceConfig.rDegen, new CountingSink)
+    assert(hbbmc.cliques == 47000)
+    assert((hbbmc.cliques, hbbmc.sumSize, hbbmc.maxSize) == (rdegen.cliques, rdegen.sumSize, rdegen.maxSize))
+  }
+
+  /** Bytes that `f` allocates on the calling thread. */
+  private def allocatedBy(f: => Unit): Long = {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    // the first reading of the counter allocates once
+    threads.getCurrentThreadAllocatedBytes
+    val a0 = threads.getCurrentThreadAllocatedBytes
+    f
+    threads.getCurrentThreadAllocatedBytes - a0
+  }
+
+  test("two-hub graph: an HBBMC++ workspace allocates less than four bit matrices of its largest anchor") {
+    val prep = Engine.prepare(twoHubs(5000), MceConfig.hbbmcPP)
+    val deg = (0 until prep.units).map(prep.unitDegree).max
+    assert(deg == 5001)
+    val bitMatrix = deg.toLong * Bits.words(deg) * 8
+    val bytes = allocatedBy(Engine.workspace(prep))
+    assert(bytes < 4 * bitMatrix, s"$bytes bytes for a $bitMatrix-byte bit matrix")
+  }
+
+  test("two-hub graph: a hub whose bit matrix exceeds one array fails when its workspace is sized") {
+    // deg·⌈deg/64⌉ longs pass Int.MaxValue from degree 370,704 on
+    val g = twoHubs(371000)
+    for (cfg <- Seq(MceConfig.hbbmcPP, MceConfig.rDegen)) {
+      val prep = Engine.prepare(g, cfg)
+      var e: IllegalArgumentException = null
+      val bytes = allocatedBy { e = intercept[IllegalArgumentException](Engine.workspace(prep)) }
+      assert(e.getMessage.contains("degree 371001"), s"$cfg: ${e.getMessage}")
+      // no array of the workspace was made: not even its two n-int marks
+      assert(bytes < 2L * 4 * g.n, s"$cfg: $bytes bytes allocated before the failure")
+    }
   }
 
   test("two-hub graph: a stripe without the oversized anchor solves, its workspace sized from its own units") {

@@ -53,15 +53,19 @@ class NeighborhoodSpec extends SparkSpec {
     val words = Bits.words(nLoc)
     val rowsEnd = if (fullRows) nLoc else rng.nextInt(nLoc)
     val rank = rng.shuffle(Vector.range(0, g.m)).toArray
-    ws.neighborhood(ids, nLoc, rowsEnd, words, if (withRanks) rank else null)
+    val ranks = ws.neighborhood(ids, nLoc, rowsEnd, words, if (withRanks) rank else null)
     val (want, wantRanks) = reference(g, ids, nLoc, rowsEnd, words, rank)
     val clue = s"u=$u nLoc=$nLoc rowsEnd=$rowsEnd"
     assert(ws.hFlat.take(nLoc * words).sameElements(want), clue)
     for (i <- rowsEnd until nLoc; q <- rowsEnd until nLoc)
       assert(!Bits.getRow(ws.hFlat, i * words, q), s"$clue: cell ($i, $q) past rowsEnd")
     assert(ids.indices.forall(i => ws.markLocal(ids(i)) == i), clue)
-    if (withRanks)
-      wantRanks.foreach { case ((i, q), r) => assert(ws.hRank(i * nLoc + q) == r, s"$clue ($i, $q)") }
+    if (withRanks) {
+      // one stored rank per adjacent pair, at the indexes 0 until #pairs
+      val stored = wantRanks.keys.collect { case (i, q) if q < i => ranks.index(i, q) }
+      assert(stored.toSeq.sorted == (0 until wantRanks.size / 2), clue)
+      wantRanks.foreach { case ((i, q), r) => assert(ranks(i, q) == r, s"$clue ($i, $q)") }
+    } else assert(ranks == null, clue)
     ids.exists(g.degree(_) > 8 * nLoc)
   }
 
