@@ -29,14 +29,16 @@ object BenchTables {
 
   final case class RunResult(millis: Double, stats: MceStats)
 
-  /** Time one sequential run (preparation + enumeration, like the paper). */
-  def timed(g: LocalGraph, cfg: MceConfig): RunResult = {
+  /** Time one run (preparation + enumeration, like the paper). */
+  def timed(run: => MceStats): RunResult = {
     System.gc() // isolate runs from each other's garbage
     val t0 = System.nanoTime()
-    val stats = Engine.runLocal(g, cfg, CliqueSink.discard)
+    val stats = run
     val t1 = System.nanoTime()
     RunResult((t1 - t0) / 1e6, stats)
   }
+
+  private def local(g: LocalGraph, cfg: MceConfig): MceStats = Engine.runLocal(g, cfg, CliqueSink.discard)
 
   private val Repeats = 3 // timed runs per table cell
   /** The median-time run of one cell's `runs`, which must all give the same statistics. */
@@ -53,7 +55,7 @@ object BenchTables {
   def warmup(): Unit = synchronized {
     if (!warmed) {
       val g = dataset("FB")
-      sweeps.flatMap(_.cfgs).map(_._2).distinct.foreach(cfg => timed(g, cfg))
+      sweeps.flatMap(_.cfgs).map(_._2).distinct.foreach(cfg => local(g, cfg))
       warmed = true
     }
   }
@@ -98,7 +100,7 @@ object BenchTables {
     warmup()
     datasetNames.map { name =>
       val g = dataset(name)
-      val results = cfgs.map { case (cfgName, cfg) => median(s"$cfgName on $name", Seq.fill(Repeats)(timed(g, cfg))) }
+      val results = cfgs.map { case (cfgName, cfg) => median(s"$cfgName on $name", Seq.fill(Repeats)(timed(local(g, cfg)))) }
       val counts = results.map(_.stats.cliques).distinct
       require(counts.size == 1,
         s"clique-count mismatch on $name: ${cfgs.map(_._1).zip(results.map(_.stats.cliques))}")
@@ -184,21 +186,14 @@ object BenchTables {
     val header = Seq("Graph", "local ms", "DistMCE ms", "speedup", "#cliques")
     val rows = names.map { name =>
       val g = dataset(name)
-      // best of two for both sides: JVM/GC jitter dominates at this scale
-      val local = Seq(timed(g, MceConfig.hbbmcPP), timed(g, MceConfig.hbbmcPP)).minBy(_.millis)
-      def distOnce(): (Double, MceStats) = {
-        System.gc()
-        val t0 = System.nanoTime()
-        val stats = DistMCE.run(spark, g, MceConfig.hbbmcPP)
-        ((System.nanoTime() - t0) / 1e6, stats)
-      }
-      val (distMs, stats) = Seq(distOnce(), distOnce()).minBy(_._1)
-      require(stats.cliques == local.stats.cliques,
-        s"distributed/local clique-count mismatch on $name: ${stats.cliques} vs ${local.stats.cliques}")
-      Seq(name, fmtMs(local.millis), fmtMs(distMs),
-        f"${local.millis / distMs}%.2fx", stats.cliques.toString)
+      val loc = median(s"HBBMC++ on $name", Seq.fill(Repeats)(timed(local(g, MceConfig.hbbmcPP))))
+      val dist = median(s"DistMCE on $name", Seq.fill(Repeats)(timed(DistMCE.run(spark, g, MceConfig.hbbmcPP))))
+      require(dist.stats == loc.stats,
+        s"distributed/local statistics differ on $name: ${dist.stats} vs ${loc.stats}")
+      Seq(name, fmtMs(loc.millis), fmtMs(dist.millis),
+        f"${loc.millis / dist.millis}%.2fx", dist.stats.cliques.toString)
     }
     writeTsv("table_dist.tsv", header, rows)
-    renderTable("Extra: DistMCE (Spark, branch-parallel) vs sequential", header, rows)
+    renderTable(s"Extra: DistMCE (Spark, branch-parallel) vs sequential (ms: median of $Repeats runs)", header, rows)
   }
 }

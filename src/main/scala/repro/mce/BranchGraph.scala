@@ -35,20 +35,20 @@ final class BranchGraph(
     val ws: Workspace
 )
 
-/** The global edge rank of every adjacent pair {q, i} of `nLoc` rows of
-  * `words` longs, stored once, in the row of its larger end i: row by row,
-  * ascending q < i within a row, so the store follows the bit order of
+/** The global edge rank of every adjacent pair {q, i} of the rows `rows`
+  * (`words` longs each), stored once, in the row of its larger end i: row by
+  * row, ascending q < i within a row, so the store follows the bit order of
   * `rows` below its diagonal. `base(i * words + k)` is the number of pairs
   * stored before word k of row i, so pair (i, q) with q < i is at its word's
   * base plus the set bits below q in that word, and a row's ranks below the
   * diagonal are one contiguous run. The store holds one rank per edge among
-  * the rows, at most nLoc·δ for an anchor and never more than the graph's
-  * m, where a dense matrix would hold nLoc². [[Workspace.neighborhood]]
+  * the rows, at most nLoc·δ for an anchor of nLoc rows and never more than
+  * the graph's m, where a dense matrix would hold nLoc². Only this file reads
+  * the layout; the kernels read ranks by pair. [[Workspace.neighborhood]]
   * returns one over the workspace's buffers, valid until the next level-1
   * build on that workspace.
   */
-final class PairRanks(val rows: Array[Long], val nLoc: Int, val words: Int,
-                      val base: Array[Int], val rank: Array[Int]) {
+final class PairRanks(val rows: Array[Long], val words: Int, val base: Array[Int], val rank: Array[Int]) {
   /** The store index of the adjacent pair (i, q), q < i. */
   def index(i: Int, q: Int): Int = {
     val w = i * words + (q >>> 6)
@@ -57,29 +57,6 @@ final class PairRanks(val rows: Array[Long], val nLoc: Int, val words: Int,
 
   /** The rank of the adjacent pair {i, q}, in either order. */
   def apply(i: Int, q: Int): Int = rank(if (q < i) index(i, q) else index(q, i))
-
-  /** The word of `rows` that holds the pair at store index `idx`: the last
-    * word whose base is at most `idx`, by binary search.
-    */
-  def wordOf(idx: Int): Int = {
-    var lo = 0
-    var hi = nLoc * words - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (base(mid) <= idx) lo = mid else hi = mid - 1
-    }
-    lo
-  }
-
-  /** The smaller end q of the pair at store index `idx`, which word `w`
-    * holds; its larger end is the row, `w / words`.
-    */
-  def columnOf(w: Int, idx: Int): Int = {
-    var word = rows(w)
-    var k = idx - base(w)
-    while (k > 0) { word &= word - 1; k -= 1 }
-    ((w % words) << 6) + java.lang.Long.numberOfTrailingZeros(word)
-  }
 }
 
 /** Reusable per-thread scratch for level-1 construction and the kernels:
@@ -212,7 +189,7 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
       i += 1
     }
     if (pairRank.length < n) pairRank = new Array[Int](math.max(n, 2 * pairRank.length))
-    val store = new PairRanks(h, nLoc, words, base, pairRank)
+    val store = new PairRanks(h, words, base, pairRank)
     var k = 0
     while (k < n) {
       pairRank(store.index((listed(k) >>> 32).toInt, listed(k).toInt)) = listedRank(k)
@@ -351,19 +328,19 @@ object BranchGraph {
   /** The one consumed-pair rule of edge branching (DESIGN.md §4): once the
     * branch of an edge of rank `r` is taken, no pair ranked at or below `r`
     * may be used again. Returns `rows` itself when no pair inside `c` that
-    * is adjacent in `rows` has rank ≤ r (`ranks` is over the full rows, of
+    * is adjacent in `rows` has rank ≤ r (`store` is over the full rows, of
     * which `rows` is a subset); otherwise `out` (at least nLoc × words longs,
     * not `rows`) with `c`'s rows of `rows` copied in and exactly those pairs
     * cleared. Other rows of `out` are not written and must not be read. Its
     * callers are [[AnchorContext.branch]], for a level-1 branch, and every
     * edge step of `Kernels.edgeRec`, for the step's child.
     */
-  def dropConsumed(rows: Array[Long], c: Array[Long], ranks: PairRanks, r: Int,
+  def dropConsumed(rows: Array[Long], c: Array[Long], store: PairRanks, r: Int,
                    out: Array[Long]): Array[Long] = {
-    val words = ranks.words
-    val full = ranks.rows
-    val base = ranks.base
-    val rank = ranks.rank
+    val words = store.words
+    val full = store.rows
+    val base = store.base
+    val rank = store.rank
     var dropped = rows
     var i = 0
     while (i < c.length) {

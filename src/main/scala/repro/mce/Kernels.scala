@@ -57,13 +57,13 @@ object Kernels {
             level: Int, cfg: KernelConfig, counters: Counters, sink: CliqueSink): Unit =
     bg.ws.solver.solve(bg, c, x, sPrefix, level, cfg, counters, sink)
 
-  /** Sort key of the candidate pair of rank `rank` at store index `idx` of
-    * its [[PairRanks]]: keys ascend by rank, then by index. Both are
+  /** Sort key of the candidate pair of rank `rank` at slot `slot` of its
+    * level's pair list: keys ascend by rank, then by slot. Both are
     * non-negative ints, so each fills one half of the key.
     */
-  private[mce] def pairKey(rank: Int, idx: Int): Long = (rank.toLong << 32) | idx
+  private[mce] def pairKey(rank: Int, slot: Int): Long = (rank.toLong << 32) | slot
   private[mce] def keyRank(key: Long): Int = (key >>> 32).toInt
-  /** The store index of a [[pairKey]]. */
+  /** The pair-list slot of a [[pairKey]]. */
   private[mce] def keyIndex(key: Long): Int = key.toInt
 
   /** A stack of `width`-word bitsets: `take` hands out the next free slot,
@@ -149,8 +149,10 @@ object Kernels {
       pools(width)
     }
 
-    // `edgeRec`'s pair keys and each edge step's dropped rows, per level
+    // `edgeRec`'s pair keys, the pairs they index and each edge step's
+    // dropped rows, per level
     private val keyBufs = new PerLevel
+    private val pairBufs = new PerLevel
     private val rowBufs = new PerLevel
 
     /** Point the solver at branch `bg`, with S = `sPrefix`, and solve it
@@ -517,8 +519,9 @@ object Kernels {
       */
     private def edgeRec(c: Array[Long], x: Array[Long], level: Int): Unit = {
       if (open(c, x, scans = cfg.etT >= 1) < 0) return
-      // The usable pairs inside C as sort keys, in this level's key buffer:
-      // the rows in force count each pair once from either end.
+      // The usable pairs inside C, (b << 32) | a with a < b, in this level's
+      // pair list, and their sort keys, by rank and slot: the rows in force
+      // count each pair once from either end.
       var ends = 0
       var i = 0
       while (i < c.length) {
@@ -531,6 +534,7 @@ object Kernels {
       }
       val nKeys = ends / 2
       val edges = keyBufs(level, nKeys)
+      val pairs = pairBufs(level, nKeys)
       var k = 0
       i = 0
       while (i < c.length) {
@@ -543,8 +547,9 @@ object Kernels {
           var pair = c(i) & surv(a * W + i) & (-2L << (a & 63))
           while (q < c.length) {
             while (pair != 0L) {
-              val idx = ranks.index((q << 6) + java.lang.Long.numberOfTrailingZeros(pair), a)
-              edges(k) = pairKey(ranks.rank(idx), idx); k += 1
+              val b = (q << 6) + java.lang.Long.numberOfTrailingZeros(pair)
+              pairs(k) = (b.toLong << 32) | a
+              edges(k) = pairKey(ranks(b, a), k); k += 1
               pair &= pair - 1
             }
             q += 1
@@ -561,10 +566,9 @@ object Kernels {
       var ei = 0
       while (ei < nKeys) {
         val re = keyRank(edges(ei))
-        val idx = keyIndex(edges(ei))
-        val at = ranks.wordOf(idx) // the word of row b that holds a
-        val a = ranks.columnOf(at, idx)
-        val b = at / W
+        val ab = pairs(keyIndex(edges(ei)))
+        val a = ab.toInt
+        val b = (ab >>> 32).toInt
         val cMark = cPool.top
         val xMark = xPool.top
         // C' ⊆ C ∩ N_surv(a) ∩ N_surv(b) keeps the vertices whose edges to

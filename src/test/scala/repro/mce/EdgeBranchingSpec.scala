@@ -37,7 +37,7 @@ class EdgeBranchingSpec extends SparkSpec {
         stored += ranks(i * nLoc + q); n += 1
       }
     }
-    new PairRanks(rows, nLoc, words, base, stored.result())
+    new PairRanks(rows, words, base, stored.result())
   }
 
   /** Reference: drop every pair inside `c` adjacent in `rows` with rank ≤ r. */
@@ -102,7 +102,7 @@ class EdgeBranchingSpec extends SparkSpec {
   }
 
   test("pair keys round-trip ranks above 2^24 and sort by rank, then pair") {
-    // a store index is an array index, so Int.MaxValue bounds it
+    // a pair-list slot is an array index, so Int.MaxValue bounds it
     val last = Int.MaxValue
     val rank = (1 << 24) + 5
     val key = Kernels.pairKey(rank, last)

@@ -18,7 +18,7 @@ class SolverReuseSpec extends SparkSpec {
     val full = bg.fullFlat.clone()
     val surv = if (bg.survFlat eq bg.fullFlat) full else bg.survFlat.clone()
     val r0 = bg.localRank
-    val ranks = if (r0 == null) null else new PairRanks(full, r0.nLoc, r0.words, r0.base.clone(), r0.rank.clone())
+    val ranks = if (r0 == null) null else new PairRanks(full, r0.words, r0.base.clone(), r0.rank.clone())
     Item(new BranchGraph(bg.nLoc, bg.words, surv, full, bg.globalIds.clone(), ranks, ws),
       r.c.clone(), r.x.clone(), r.s.clone(), cfg)
   }
