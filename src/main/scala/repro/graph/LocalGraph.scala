@@ -95,21 +95,39 @@ object LocalGraph {
       ev(i) = (sorted(i) & 0xffffffffL).toInt
       i += 1
     }
+    fromCanonical(n, eu, ev)
+  }
+
+  /** Build from canonical edges: `eu(i) < ev(i)`, sorted strictly by
+    * (eu, ev), which one O(m) pass checks; the graph takes the two arrays as
+    * its own.
+    */
+  def fromCanonical(n: Int, eu: Array[Int], ev: Array[Int]): LocalGraph = {
+    require(eu.length == ev.length, s"${eu.length} edge starts but ${ev.length} edge ends")
+    val m = eu.length
+    var i = 0
+    while (i < m) {
+      require(0 <= eu(i) && eu(i) < ev(i) && ev(i) < n,
+        s"edge $i = (${eu(i)},${ev(i)}) is not canonical (u < v) with n=$n")
+      require(i == 0 || eu(i - 1) < eu(i) || (eu(i - 1) == eu(i) && ev(i - 1) < ev(i)),
+        s"edge $i = (${eu(i)},${ev(i)}) does not follow edge ${i - 1} = (${eu(i - 1)},${ev(i - 1)})")
+      i += 1
+    }
     val deg = new Array[Int](n)
     i = 0
-    while (i < mDistinct) { deg(eu(i)) += 1; deg(ev(i)) += 1; i += 1 }
+    while (i < m) { deg(eu(i)) += 1; deg(ev(i)) += 1; i += 1 }
     val offsets = new Array[Int](n + 1)
     i = 0
     while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
     val cursor = java.util.Arrays.copyOf(offsets, n)
-    val adj = new Array[Int](2 * mDistinct)
-    val adjEdge = new Array[Int](2 * mDistinct)
+    val adj = new Array[Int](2 * m)
+    val adjEdge = new Array[Int](2 * m)
     // Edges arrive in canonical (u, v) order, so vertex x first receives its
     // smaller neighbours u < x in ascending order, then its larger ones
     // v > x in ascending order: every list comes out sorted, and must not
     // be re-sorted, which would break its pairing with `adjEdge`.
     i = 0
-    while (i < mDistinct) {
+    while (i < m) {
       adj(cursor(eu(i))) = ev(i); adjEdge(cursor(eu(i))) = i; cursor(eu(i)) += 1
       adj(cursor(ev(i))) = eu(i); adjEdge(cursor(ev(i))) = i; cursor(ev(i)) += 1
       i += 1

@@ -37,14 +37,15 @@ object TrussOrder {
     // edge ids, at most δ entries each) are walked. Each triangle is
     // recorded on each of its three edges as the pair of the OTHER two edge
     // ids (6 ints per triangle), so the peel below is a pure array walk.
-    // Pass 0 counts the triangles per edge, pass 1 fills that CSR.
+    // Pass 0 counts the triangles per edge, pass 1 fills that CSR: during the
+    // fill off(e + 1) holds the next free slot of e, which starts at e's
+    // start and ends at its end, so no cursor array is needed.
     val n = fwd.n
     val fOff = fwd.off
     val fAdj = fwd.adj
     val fEdge = fwd.edge
     val triCnt = new Array[Int](m)
     val off = new Array[Int](m + 1)
-    val cursor = new Array[Int](m)
     var otherA: Array[Int] = null; var otherB: Array[Int] = null
     val markEdge = new Array[Int](n) // edge id of (u, w) for marked w, else -1
     java.util.Arrays.fill(markEdge, -1)
@@ -65,9 +66,9 @@ object TrussOrder {
               val eAW = fEdge(q)
               if (pass == 0) { triCnt(eUA) += 1; triCnt(eUW) += 1; triCnt(eAW) += 1 }
               else {
-                otherA(cursor(eUA)) = eUW; otherB(cursor(eUA)) = eAW; cursor(eUA) += 1
-                otherA(cursor(eUW)) = eUA; otherB(cursor(eUW)) = eAW; cursor(eUW) += 1
-                otherA(cursor(eAW)) = eUA; otherB(cursor(eAW)) = eUW; cursor(eAW) += 1
+                otherA(off(eUA + 1)) = eUW; otherB(off(eUA + 1)) = eAW; off(eUA + 1) += 1
+                otherA(off(eUW + 1)) = eUA; otherB(off(eUW + 1)) = eAW; off(eUW + 1) += 1
+                otherA(off(eAW + 1)) = eUA; otherB(off(eAW + 1)) = eUW; off(eAW + 1) += 1
               }
             }
             q += 1
@@ -81,12 +82,11 @@ object TrussOrder {
       if (pass == 0) {
         var slots = 0L
         var e = 0
-        while (e < m) { slots += triCnt(e); off(e + 1) = slots.toInt; e += 1 }
+        while (e < m) { off(e + 1) = slots.toInt; slots += triCnt(e); e += 1 }
         if (slots > MaxSlots) throw new IllegalArgumentException(
           s"truss ordering: ${slots / 3} triangles need $slots triangle slots, " +
           s"more than one array holds ($MaxSlots)")
-        otherA = new Array[Int](off(m)); otherB = new Array[Int](off(m))
-        System.arraycopy(off, 0, cursor, 0, m)
+        otherA = new Array[Int](slots.toInt); otherB = new Array[Int](slots.toInt)
       }
       pass += 1
     }

@@ -17,8 +17,10 @@ import repro.graph.{ForwardLists, LocalGraph}
   * vertex branch puts its candidates first and builds only their rows
   * (`rowsEnd = |C|`), as the kernels never consult X×X adjacency.
   *
-  * A level-1 build reads and writes the buffers of its workspace `ws`, so a
-  * branch it returns is valid until the next level-1 build on `ws`.
+  * A workspace owns two branch graphs, one over its `hFlat` and one over its
+  * `survRows`; every level-1 build re-points one of them at its `nLoc`,
+  * `words` and `localRank`, so a branch graph it returns is valid until the
+  * next level-1 build on `ws`.
   *
   * @param localRank the anchor's pair ranks over `fullFlat`, for
   *                  edge-branching below level 1 (Table IV, d ≥ 2); null
@@ -26,14 +28,20 @@ import repro.graph.{ForwardLists, LocalGraph}
   * @param ws        the workspace whose `Solver` runs the branch's kernels
   */
 final class BranchGraph(
-    val nLoc: Int,
-    val words: Int,
+    var nLoc: Int,
+    var words: Int,
     val survFlat: Array[Long],
     val fullFlat: Array[Long],
     val globalIds: Array[Int],
-    val localRank: PairRanks,
+    var localRank: PairRanks,
     val ws: Workspace
-)
+) {
+  /** Re-points this graph at a level-1 build of `nLoc` vertices. */
+  private[mce] def set(nLoc: Int, words: Int, localRank: PairRanks): BranchGraph = {
+    this.nLoc = nLoc; this.words = words; this.localRank = localRank
+    this
+  }
+}
 
 /** The global edge rank of every adjacent pair {q, i} of the rows `rows`
   * (`words` longs each), stored once, in the row of its larger end i: row by
@@ -44,11 +52,12 @@ final class BranchGraph(
   * diagonal are one contiguous run. The store holds one rank per edge among
   * the rows, at most nLoc·δ for an anchor of nLoc rows and never more than
   * the graph's m, where a dense matrix would hold nLoc². Only this file reads
-  * the layout; the kernels read ranks by pair. [[Workspace.neighborhood]]
-  * returns one over the workspace's buffers, valid until the next level-1
-  * build on that workspace.
+  * the layout; the kernels read ranks by pair. A ranked workspace owns one
+  * store over its buffers, which every ranked [[Workspace.neighborhood]]
+  * re-fills (its `words`, and `rank` grown in place); it is valid until the
+  * next level-1 build on that workspace.
   */
-final class PairRanks(val rows: Array[Long], val words: Int, val base: Array[Int], val rank: Array[Int]) {
+final class PairRanks(val rows: Array[Long], var words: Int, val base: Array[Int], var rank: Array[Int]) {
   /** The store index of the adjacent pair (i, q), q < i. */
   def index(i: Int, q: Int): Int = {
     val w = i * words + (q >>> 6)
@@ -61,11 +70,13 @@ final class PairRanks(val rows: Array[Long], val words: Int, val base: Array[Int
 
 /** Reusable per-thread scratch for level-1 construction and the kernels:
   * the layout buffers, global-id marks, the neighborhood matrix and its pair
-  * ranks, a branch's C, X, S prefix and dropped rows, and the one
-  * `Kernels.Solver`. Everything is sized once, for neighborhoods of up to
-  * `maxDegree` vertices, except the rank store and the pair list that fills
-  * it (kept when `ranks`), which grow to the largest anchor's pair count and
-  * forward-list entries; no buffer is maxDegree² in size.
+  * ranks, a branch's C, X, S prefix and dropped rows, the one
+  * `AnchorContext`, the two `BranchGraph`s, the one `BranchResult.Branch`
+  * record and the one `Kernels.Solver`. Everything is sized once, for
+  * neighborhoods of up to `maxDegree` vertices, except the rank store and the
+  * pair list that fills it (kept when `ranks`), which grow to the largest
+  * anchor's pair count and forward-list entries; no buffer is maxDegree² in
+  * size. After a warm-up, a level-1 build allocates nothing.
   * What a level-1 build writes is valid until the next level-1 build.
   * `forward` holds the forward lists of the graph whose neighborhoods it
   * builds (`Prepared.forward`).
@@ -90,12 +101,18 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
   // the last ranked neighborhood's `PairRanks.base` and ranks, and the pairs
   // that its walk found, (i << 32 | q) with q < i, with their ranks
   private val pairBase = new Array[Int](if (ranks) rowWords.toInt else 0)
-  private var pairRank = Array.emptyIntArray
+  private val pairRanks = if (ranks) new PairRanks(hFlat, 1, pairBase, Array.emptyIntArray) else null
   private var found = Array.emptyLongArray
   private var foundRank = Array.emptyIntArray
 
   /** An edge branch's rows with its consumed pairs dropped. */
   private[mce] val survRows = new Array[Long](if (ranks) rowWords.toInt else 0)
+  /** The branch graph over `hFlat` and the one over `survRows`. */
+  private[mce] val overH = new BranchGraph(0, 1, hFlat, hFlat, idsBuf, null, this)
+  private[mce] val overSurv = new BranchGraph(0, 1, survRows, hFlat, idsBuf, null, this)
+  /** The record of every non-trivial level-1 branch built on this workspace. */
+  private[mce] val branch = BranchResult.Branch(null, null, null, null)
+  private[mce] val anchor = new AnchorContext(this)
   /** A level-1 branch's S prefix: {u, v} for an edge, {v} for a vertex. */
   private[mce] val pair = new Array[Int](2)
   private[mce] val single = new Array[Int](1)
@@ -126,8 +143,8 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
     * endpoint, so the walk costs Σ_i fdeg(ids(i)) ≤ nLoc·δ. With `rank`
     * non-null the walk also lists each pair with its global edge rank; then
     * the prefix counts of `hFlat`'s bits below the diagonal are taken, each
-    * listed rank is stored at its pair's index, and those [[PairRanks]] are
-    * returned. Without `rank` it returns null.
+    * listed rank is stored at its pair's index, and the workspace's
+    * [[PairRanks]] are returned. Without `rank` it returns null.
     */
   def neighborhood(ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int, rank: Array[Int]): PairRanks = {
     fit(nLoc, rank != null)
@@ -188,11 +205,13 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
       while (w < (i + 1) * words) { base(w) = stored; w += 1 }
       i += 1
     }
-    if (pairRank.length < n) pairRank = new Array[Int](math.max(n, 2 * pairRank.length))
-    val store = new PairRanks(h, words, base, pairRank)
+    val store = pairRanks
+    store.words = words
+    if (store.rank.length < n) store.rank = new Array[Int](math.max(n, 2 * store.rank.length))
+    val out = store.rank
     var k = 0
     while (k < n) {
-      pairRank(store.index((listed(k) >>> 32).toInt, listed(k).toInt)) = listedRank(k)
+      out(store.index((listed(k) >>> 32).toInt, listed(k).toInt)) = listedRank(k)
       k += 1
     }
     store
@@ -201,13 +220,22 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
 
 /** Outcome of building a level-1 branch. `Trivial` carries the clique to
   * emit (or null for a dead branch) without any graph materialization.
-  * The arrays of either case are workspace buffers, valid until the next
+  * Either case and its arrays belong to the workspace: a `Branch` is the
+  * workspace's one record (`Workspace.branch`), re-pointed by every level-1
+  * build, and the `Trivial`s are fixed. Both are valid until the next
   * level-1 build on the same workspace.
   */
 sealed trait BranchResult
 object BranchResult {
   final case class Trivial(emit: Array[Int]) extends BranchResult
-  final case class Branch(bg: BranchGraph, c: Array[Long], x: Array[Long], s: Array[Int]) extends BranchResult
+  final case class Branch(var bg: BranchGraph, var c: Array[Long], var x: Array[Long], var s: Array[Int])
+    extends BranchResult {
+    /** Re-points this record at a new branch. */
+    private[mce] def set(bg: BranchGraph, c: Array[Long], x: Array[Long], s: Array[Int]): Branch = {
+      this.bg = bg; this.c = c; this.x = x; this.s = s
+      this
+    }
+  }
   /** A branch whose candidates are all excluded. */
   val dead: Trivial = Trivial(null)
 }
@@ -233,18 +261,45 @@ object BranchResult {
   * The layout, H and the ranks live in the per-thread [[Workspace]] and
   * are reused across anchors, and so do a branch's C, X, S prefix and, in
   * the uncommon case that some candidate pair is already consumed, its
-  * surviving rows (`BranchGraph.dropConsumed`). The anchor's branches share
-  * at most two `BranchGraph`s, one over H and one over the surviving rows, so
-  * a branch allocates only its `Branch` record, valid until the next branch
-  * is built. `Prepared.foreachBranch` makes one per anchor (`needRanks` iff d ≥ 2).
+  * surviving rows (`BranchGraph.dropConsumed`). A branch is the workspace's
+  * `Branch` record over one of its two `BranchGraph`s, one over H and one
+  * over the surviving rows, so neither an anchor nor a branch allocates.
+  * Each workspace owns one context (`Workspace.anchor`), which
+  * `Prepared.foreachBranch` re-points at each anchor with [[at]]
+  * (`needRanks` iff d ≥ 2); `new AnchorContext(g, rank, u, needRanks, ws)`
+  * makes another one over the same workspace buffers. Either is valid until
+  * the next level-1 build on its workspace.
   */
-final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
-                          needRanks: Boolean, ws: Workspace) {
-  val nLoc: Int = g.degree(u)
-  val words: Int = Bits.words(math.max(1, nLoc))
-  ws.fit(nLoc, withRanks = true)
-  /** neighbors of u in descending rank(u,·) order, in `ws.idsBuf` */
-  val ids: Array[Int] = {
+final class AnchorContext private[mce] (ws: Workspace) {
+  private var g: LocalGraph = _
+  private var rank: Array[Int] = _
+  private var anchor = -1
+  private var size = 0
+  private var width = 1
+  private var pairRanks: PairRanks = _
+  private var localRanks: PairRanks = _
+
+  def this(g: LocalGraph, rank: Array[Int], u: Int, needRanks: Boolean, ws: Workspace) = {
+    this(ws)
+    at(g, rank, u, needRanks)
+  }
+
+  /** The anchor vertex. */
+  def u: Int = anchor
+  /** The anchor's degree: the vertices of its neighborhood. */
+  def nLoc: Int = size
+  /** The words of one neighborhood row. */
+  def words: Int = width
+
+  /** Re-points this context at anchor `u` of `g` under the edge ranks `rank`:
+    * lays out N(u) in descending rank(u,·) order in `ws.idsBuf` and builds
+    * H and its pair ranks on the workspace.
+    */
+  private[mce] def at(g: LocalGraph, rank: Array[Int], u: Int, needRanks: Boolean): AnchorContext = {
+    val nLoc = g.degree(u)
+    ws.fit(nLoc, withRanks = true)
+    val words = Bits.words(math.max(1, nLoc))
+    this.g = g; this.rank = rank; anchor = u; size = nLoc; width = words
     // key: ~rank in the high half (descending rank), the neighbor's id in
     // the low half; edge ranks are distinct, so the id only fills the key
     val keys = ws.keyBuf
@@ -255,18 +310,13 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
       i += 1
     }
     java.util.Arrays.sort(keys, 0, nLoc)
-    val out = ws.idsBuf
+    val ids = ws.idsBuf
     i = 0
-    while (i < nLoc) { out(i) = keys(i).toInt; i += 1 }
-    out
+    while (i < nLoc) { ids(i) = keys(i).toInt; i += 1 }
+    pairRanks = ws.neighborhood(ids, nLoc, nLoc, words, rank)
+    localRanks = if (needRanks) pairRanks else null
+    this
   }
-  private val pairRanks = ws.neighborhood(ids, nLoc, nLoc, words, rank)
-  private val h = ws.hFlat
-  private val localRanks = if (needRanks) pairRanks else null
-  /** The anchor's branch graph with no consumed pair: surv = full = H. */
-  private val clean = new BranchGraph(nLoc, words, h, h, ids, localRanks, ws)
-  /** Its branch graph on `ws.survRows`, made on the first branch that needs it. */
-  private var dropped: BranchGraph = null
 
   /** Local index of a neighbor w of u — valid while this anchor's marks are
     * current (all of an anchor's branches run before the next anchor).
@@ -275,6 +325,9 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
 
   /** Build the branch of edge e = (u, v). */
   def branch(e: Int): BranchResult = {
+    val u = anchor
+    val words = width
+    val h = ws.hFlat
     val v = if (g.eu(e) == u) g.ev(e) else g.eu(e)
     val r = rank(e)
     val vL = localOf(v)
@@ -313,13 +366,8 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
       x(i) = h(rowV + i) & ~(if (i < cWords) c(i) else 0L)
       i += 1
     }
-    val bg =
-      if (BranchGraph.dropConsumed(h, c, pairRanks, r, ws.survRows) eq h) clean
-      else {
-        if (dropped == null) dropped = new BranchGraph(nLoc, words, ws.survRows, h, ids, localRanks, ws)
-        dropped
-      }
-    BranchResult.Branch(bg, c, x, ws.pair)
+    val bg = if (BranchGraph.dropConsumed(h, c, pairRanks, r, ws.survRows) eq h) ws.overH else ws.overSurv
+    ws.branch.set(bg.set(size, words, localRanks), c, x, ws.pair)
   }
 }
 
@@ -395,8 +443,9 @@ object BranchGraph {
   /** Branch for level-1 *vertex* branching at vertex `v` under the
     * degeneracy order (BK_Degen-style split): universe = N(v); candidates =
     * neighbors later in the order, exclusions = earlier. Single adjacency in
-    * the workspace's `hFlat`; the branch, like its C, X and S, lives in
-    * workspace buffers and is valid until the next level-1 build. `g` is
+    * the workspace's `hFlat`; the branch is the workspace's `Branch` record
+    * over its graph `overH`, and like its C, X and S it is valid until the
+    * next level-1 build. `g` is
     * GR's reduced graph, a 3-core, so `v` is never isolated; `pos` are the
     * degeneracy positions that `ws`'s forward lists follow.
     */
@@ -423,6 +472,6 @@ object BranchGraph {
     java.util.Arrays.fill(x, 0L)
     while (i < nLoc) { Bits.set(x, i); i += 1 }
     ws.single(0) = v
-    BranchResult.Branch(new BranchGraph(nLoc, words, ws.hFlat, ws.hFlat, ids, null, ws), c, x, ws.single)
+    ws.branch.set(ws.overH.set(nLoc, words, null), c, x, ws.single)
   }
 }

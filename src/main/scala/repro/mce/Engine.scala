@@ -111,13 +111,14 @@ final class Prepared(
 
   /** Build `unit`'s level-1 branches on `ws` in order and hand each to `f`,
     * during which alone it is valid: one `forVertexBranch` for a vertex unit,
-    * one `AnchorContext.branch` per anchored edge for an anchor unit.
+    * one `AnchorContext.branch` per anchored edge for an anchor unit, on the
+    * workspace's one context. After a warm-up the walk allocates nothing.
     */
   def foreachBranch(unit: Int, ws: Workspace)(f: BranchResult => Unit): Unit = cfg.level1 match {
     case Level1.VertexDegeneracy =>
       f(BranchGraph.forVertexBranch(reduced, degenPos, unit, ws))
     case _: Level1.EdgeOrdered =>
-      val ctx = new AnchorContext(reduced, edgeRank, anchorVerts(unit), cfg.edgeDepth >= 2, ws)
+      val ctx = ws.anchor.at(reduced, edgeRank, anchorVerts(unit), cfg.edgeDepth >= 2)
       var k = anchorOff(unit)
       while (k < anchorOff(unit + 1)) { f(ctx.branch(anchorEdges(k))); k += 1 }
   }

@@ -1,7 +1,6 @@
 package repro.mce
 
 import repro.graph.{Degeneracy, DegeneracyResult, LocalGraph}
-import scala.collection.mutable.ArrayBuffer
 
 /** Graph reduction (GR) of Deng, Zheng, Cheng (VLDB'24), as used by the
   * paper's HBBMC++ and all R* baselines: iteratively remove vertices of
@@ -75,25 +74,31 @@ object GraphReduction {
       i += 1
     }
     if (removed == 0)
-      return Result(g, Array.tabulate(n)(identity), closed, removedAny = false, degeneracy)
-    val oldId = (0 until n).filter(pos(_) >= removed).toArray
-    val newId = Array.fill(n)(-1)
+      return Result(g, Array.range(0, n), closed, removedAny = false, degeneracy)
+    val oldId = new Array[Int](n - removed)
+    val newId = new Array[Int](n)
+    var kept = 0
     i = 0
-    while (i < oldId.length) { newId(oldId(i)) = i; i += 1 }
+    while (i < n) {
+      if (pos(i) >= removed) { oldId(kept) = i; newId(i) = kept; kept += 1 } else newId(i) = -1
+      i += 1
+    }
     // `newId` is increasing, so the kept edges, taken in canonical order,
     // keep that order: the k-th kept edge is the reduced graph's edge k.
-    val edges = new ArrayBuffer[(Int, Int)]()
-    val closedKept = Array.newBuilder[Boolean]
+    var m = 0
     var e = 0
+    while (e < g.m) { if (newId(g.eu(e)) >= 0 && newId(g.ev(e)) >= 0) m += 1; e += 1 }
+    val eu = new Array[Int](m)
+    val ev = new Array[Int](m)
+    val closedKept = new Array[Boolean](m)
+    var k = 0
+    e = 0
     while (e < g.m) {
-      val a = g.eu(e); val b = g.ev(e)
-      if (newId(a) >= 0 && newId(b) >= 0) {
-        edges += ((newId(a), newId(b)))
-        closedKept += closed(e)
-      }
+      val a = newId(g.eu(e)); val b = newId(g.ev(e))
+      if (a >= 0 && b >= 0) { eu(k) = a; ev(k) = b; closedKept(k) = closed(e); k += 1 }
       e += 1
     }
-    Result(LocalGraph.fromEdges(oldId.length, edges), oldId, closedKept.result(),
+    Result(LocalGraph.fromCanonical(oldId.length, eu, ev), oldId, closedKept,
       removedAny = true, degeneracy)
   }
 }

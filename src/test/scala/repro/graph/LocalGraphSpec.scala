@@ -76,6 +76,21 @@ class LocalGraphSpec extends SparkSpec {
     }
   }
 
+  test("fromCanonical rejects edges that are not canonical and strictly increasing") {
+    val bad = Seq(
+      "reversed" -> (Array(0, 2), Array(1, 1)),
+      "self-loop" -> (Array(0, 1), Array(1, 1)),
+      "out of range" -> (Array(0, 1), Array(1, 3)),
+      "negative" -> (Array(-1, 0), Array(1, 1)),
+      "duplicate" -> (Array(0, 0), Array(1, 1)),
+      "descending" -> (Array(0, 0), Array(2, 1)),
+      "descending start" -> (Array(1, 0), Array(2, 2)),
+      "unequal lengths" -> (Array(0, 1), Array(1)))
+    for ((what, (eu, ev)) <- bad) withClue(what)(intercept[IllegalArgumentException](LocalGraph.fromCanonical(3, eu, ev)))
+    val g = LocalGraph.fromCanonical(3, Array(0, 0, 1), Array(1, 2, 2))
+    assert(g.m == 3 && g.neighbors(1).toSeq == Seq(0, 2))
+  }
+
   /** Every adjacency slot p of every vertex v holds the canonical id of
     * {v, adj(p)}, and `edgeSlot` finds a slot of the same edge in the list
     * of the endpoint of smaller degree.

@@ -161,4 +161,28 @@ class GraphReductionSpec extends SparkSpec {
       assert(res.oldId.toSeq == threeCore(g), name)
     }
   }
+
+  test("GR's direct rebuild equals fromEdges over the same kept edges") {
+    // The seed-0 suite graphs that GR reduces, and random graphs.
+    val graphs = Seq("WE", "DB", "YO").map(name => name -> GraphGen.generate(GraphGen.byName(name))) ++
+      (0 until 20).map(seed => s"seed=$seed" -> randomGraph(seed))
+    for ((name, g) <- graphs) {
+      val res = run(g)._2
+      val oldId = threeCore(g).toArray
+      val newId = Array.fill(g.n)(-1)
+      for ((v, i) <- oldId.zipWithIndex) newId(v) = i
+      val kept = (0 until g.m).filter(e => newId(g.eu(e)) >= 0 && newId(g.ev(e)) >= 0)
+      val expected = LocalGraph.fromEdges(oldId.length, kept.map(e => (newId(g.eu(e)), newId(g.ev(e)))))
+      // a kept edge is closed iff a removed vertex is adjacent to both ends
+      val closed = kept.map(e => TestGraphs.commonNeighbors(g, g.eu(e), g.ev(e)).exists(newId(_) < 0))
+      val r = res.reduced
+      assert(res.oldId.toSeq == oldId.toSeq, name)
+      assert(r.n == expected.n, name)
+      assert(r.offsets.toSeq == expected.offsets.toSeq, name)
+      assert(r.adj.toSeq == expected.adj.toSeq, name)
+      assert(r.adjEdge.toSeq == expected.adjEdge.toSeq, name)
+      assert(r.eu.toSeq == expected.eu.toSeq && r.ev.toSeq == expected.ev.toSeq, name)
+      assert(res.closed.toSeq == closed, name)
+    }
+  }
 }

@@ -8,7 +8,9 @@ import scala.util.Random
 /** The kernels reuse one `Solver` per workspace: branches of any widths,
   * early-termination hits and edge steps below level 1 solve on a shared
   * workspace exactly as on a fresh one, and in steady state they allocate
-  * nothing. An anchor's level-1 branches share its branch graphs.
+  * nothing. An anchor's level-1 branches share its branch graphs, every
+  * level-1 branch is the workspace's one record, and after a warm-up the
+  * whole level-1 walk allocates nothing.
   */
 class SolverReuseSpec extends SparkSpec {
   import SolverReuseSpec._
@@ -97,9 +99,59 @@ class SolverReuseSpec extends SparkSpec {
     assert(clean > 0 && dropped > 0, s"$clean clean and $dropped dropped branches")
   }
 
+  test("every level-1 branch, edge or vertex, is the workspace's one record over one of its two graphs") {
+    val g = GraphGen.randomGnp(60, 0.5, 3)
+    for (cfg <- Seq(MceConfig.hbbmcPP, MceConfig.hbbmcDepth(2), MceConfig.hbbmcDgn, MceConfig.rDegen)) {
+      val prep = Engine.prepare(g, cfg)
+      val ws = Engine.workspace(prep)
+      var branches = 0
+      for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws) {
+        case b: BranchResult.Branch =>
+          branches += 1
+          assert(b eq ws.branch, s"$cfg unit $unit")
+          assert((b.bg eq ws.overH) || ((b.bg eq ws.overSurv) && prep.edgeRank != null), s"$cfg unit $unit")
+          // re-pointed at this unit, with ranks exactly when edges branch below level 1
+          assert(b.bg.nLoc == prep.unitDegree(unit) && b.bg.words == Bits.words(b.bg.nLoc), s"$cfg unit $unit")
+          assert((b.bg.localRank != null) == (cfg.edgeDepth >= 2), s"$cfg unit $unit")
+        case _: BranchResult.Trivial =>
+      }
+      assert(branches > 0, cfg)
+    }
+  }
+
+  test("after a warm-up, walking every level-1 unit on one workspace allocates nothing") {
+    val g = GraphGen.generate(GraphGen.byName("NA"))
+    for (cfg <- Seq(MceConfig.hbbmcPP, MceConfig.rDegen, MceConfig.hbbmcDepth(2))) {
+      val prep = Engine.prepare(g, cfg)
+      val ws = Engine.workspace(prep)
+      val kernelCfg = cfg.kernelConfig
+      val sink = new CountingSink
+      val counters = new Counters
+      val solve = (branch: BranchResult) => branch match {
+        case BranchResult.Trivial(emit) =>
+          counters.calls += 1
+          if (emit != null) sink.emit(emit, emit.length)
+        case BranchResult.Branch(bg, c, x, s) =>
+          Kernels.solve(bg, c, x, s, 2, kernelCfg, counters, sink)
+      }
+      def walk(): Unit = {
+        var unit = 0
+        while (unit < prep.units) { prep.foreachBranch(unit, ws)(solve); unit += 1 }
+      }
+      walk(); walk()
+      threads.getCurrentThreadAllocatedBytes
+      val calls0 = counters.calls
+      val a0 = threads.getCurrentThreadAllocatedBytes
+      walk()
+      val alloc = threads.getCurrentThreadAllocatedBytes - a0
+      val calls = counters.calls - calls0
+      assert(calls == Engine.runLocal(g, cfg, CliqueSink.discard).calls, cfg)
+      // the counter's own reading takes a few hundred bytes
+      assert(alloc < 1024, s"$cfg: a walk of ${prep.units} units and $calls calls allocated $alloc bytes")
+    }
+  }
+
   test("after a warm-up, repeated solves on one workspace allocate nothing") {
-    val threads = java.lang.management.ManagementFactory.getThreadMXBean
-      .asInstanceOf[com.sun.management.ThreadMXBean]
     val ws = TestGraphs.kernelWorkspace()
     val shared = items.map(_.on(ws)).toArray
     val cs = shared.map(_.c.clone())
@@ -133,6 +185,9 @@ class SolverReuseSpec extends SparkSpec {
 }
 
 object SolverReuseSpec {
+
+  private val threads = java.lang.management.ManagementFactory.getThreadMXBean
+    .asInstanceOf[com.sun.management.ThreadMXBean]
 
   /** A level-1 branch that owns copies of every array it reads, so it can be
     * solved again and again, on any workspace.
