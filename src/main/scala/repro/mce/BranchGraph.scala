@@ -17,10 +17,11 @@ import repro.graph.{ForwardLists, LocalGraph}
   * vertex branch puts its candidates first and builds only their rows
   * (`rowsEnd = |C|`), as the kernels never consult X×X adjacency.
   *
-  * A workspace owns two branch graphs, one over its `hFlat` and one over its
-  * `survRows`; every level-1 build re-points one of them at its `nLoc`,
-  * `words` and `localRank`, so a branch graph it returns is valid until the
-  * next level-1 build on `ws`.
+  * A workspace owns one branch graph (`Workspace.graph`), over its `hFlat`.
+  * Every level-1 build sets its `nLoc`, `words` and `localRank` once, and
+  * every edge branch sets its `survFlat` (`hFlat`, or the workspace's rows
+  * with the branch's consumed pairs dropped), so the graph is valid until
+  * the next level-1 build on `ws`.
   *
   * @param localRank the anchor's pair ranks over `fullFlat`, for
   *                  edge-branching below level 1 (Table IV, d ≥ 2); null
@@ -30,16 +31,15 @@ import repro.graph.{ForwardLists, LocalGraph}
 final class BranchGraph(
     var nLoc: Int,
     var words: Int,
-    val survFlat: Array[Long],
+    var survFlat: Array[Long],
     val fullFlat: Array[Long],
     val globalIds: Array[Int],
     var localRank: PairRanks,
     val ws: Workspace
 ) {
-  /** Re-points this graph at a level-1 build of `nLoc` vertices. */
-  private[mce] def set(nLoc: Int, words: Int, localRank: PairRanks): BranchGraph = {
-    this.nLoc = nLoc; this.words = words; this.localRank = localRank
-    this
+  /** Re-points this graph at a level-1 build of `nLoc` vertices, no pair dropped. */
+  private[mce] def set(nLoc: Int, words: Int, localRank: PairRanks): Unit = {
+    this.nLoc = nLoc; this.words = words; this.localRank = localRank; survFlat = fullFlat
   }
 }
 
@@ -52,10 +52,10 @@ final class BranchGraph(
   * diagonal are one contiguous run. The store holds one rank per edge among
   * the rows, at most nLoc·δ for an anchor of nLoc rows and never more than
   * the graph's m, where a dense matrix would hold nLoc². Only this file reads
-  * the layout; the kernels read ranks by pair. A ranked workspace owns one
-  * store over its buffers, which every ranked [[Workspace.neighborhood]]
-  * re-fills (its `words`, and `rank` grown in place); it is valid until the
-  * next level-1 build on that workspace.
+  * the layout; the kernels read ranks by pair. A workspace owns one store
+  * over its buffers, made by its first ranked [[Workspace.neighborhood]] and
+  * re-filled by every later one (its `words`, and `rank` grown in place); it
+  * is valid until the next level-1 build on that workspace.
   */
 final class PairRanks(val rows: Array[Long], var words: Int, val base: Array[Int], var rank: Array[Int]) {
   /** The store index of the adjacent pair (i, q), q < i. */
@@ -70,18 +70,18 @@ final class PairRanks(val rows: Array[Long], var words: Int, val base: Array[Int
 
 /** Reusable per-thread scratch for level-1 construction and the kernels:
   * the layout buffers, global-id marks, the neighborhood matrix and its pair
-  * ranks, a branch's C, X, S prefix and dropped rows, the one
-  * `AnchorContext`, the two `BranchGraph`s, the one `BranchResult.Branch`
-  * record and the one `Kernels.Solver`. Everything is sized once, for
-  * neighborhoods of up to `maxDegree` vertices, except the rank store and the
-  * pair list that fills it (kept when `ranks`), which grow to the largest
-  * anchor's pair count and forward-list entries; no buffer is maxDegree² in
-  * size. After a warm-up, a level-1 build allocates nothing.
-  * What a level-1 build writes is valid until the next level-1 build.
-  * `forward` holds the forward lists of the graph whose neighborhoods it
-  * builds (`Prepared.forward`).
+  * ranks, a branch's C, X, S prefix and dropped rows, and the one
+  * `BranchGraph`, `BranchResult.Branch` record, `AnchorContext` and
+  * `Kernels.Solver`. Buffers are sized once, for neighborhoods of up to
+  * `maxDegree` vertices, except the rank store and the pair list that fills
+  * it, which grow to the largest anchor's pair count and forward-list
+  * entries; none is maxDegree² in size, and those that only an edge level 1
+  * reads are made on first use. After a warm-up, a level-1 build allocates
+  * nothing; what it writes is valid until the next one. `forward` holds the
+  * forward lists of the graph whose neighborhoods it builds
+  * (`Prepared.forward`).
   */
-final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ranks: Boolean) {
+final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int) {
   private val maxWords = Bits.words(maxDegree)
   private val rowWords = maxDegree.toLong * maxWords
   require(rowWords <= Int.MaxValue,
@@ -90,28 +90,27 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
 
   /** A level-1 layout: local index → global id. */
   val idsBuf = new Array[Int](maxDegree)
-  /** `AnchorContext`'s layout sort keys. */
-  private[mce] val keyBuf = new Array[Long](if (ranks) maxDegree else 0)
   // global-id → local index marks (stamped, no clearing needed)
   private val markStamp = new Array[Int](forward.n)
   val markLocal = new Array[Int](forward.n)
   private var stamp = 0
   /** The neighborhood matrix of the last `neighborhood` call. */
   val hFlat = new Array[Long](rowWords.toInt)
-  // the last ranked neighborhood's `PairRanks.base` and ranks, and the pairs
-  // that its walk found, (i << 32 | q) with q < i, with their ranks
-  private val pairBase = new Array[Int](if (ranks) rowWords.toInt else 0)
-  private val pairRanks = if (ranks) new PairRanks(hFlat, 1, pairBase, Array.emptyIntArray) else null
+  // The buffers that only ranked builds use are made on first use, so a
+  // vertex level 1 makes none. `AnchorContext`'s layout sort keys:
+  private[mce] lazy val keyBuf = new Array[Long](maxDegree)
+  // the last ranked neighborhood's `PairRanks`, and the pairs that its walk
+  // found, (i << 32 | q) with q < i, with their ranks
+  private lazy val pairRanks = new PairRanks(hFlat, 1, new Array[Int](rowWords.toInt), Array.emptyIntArray)
   private var found = Array.emptyLongArray
   private var foundRank = Array.emptyIntArray
-
   /** An edge branch's rows with its consumed pairs dropped. */
-  private[mce] val survRows = new Array[Long](if (ranks) rowWords.toInt else 0)
-  /** The branch graph over `hFlat` and the one over `survRows`. */
-  private[mce] val overH = new BranchGraph(0, 1, hFlat, hFlat, idsBuf, null, this)
-  private[mce] val overSurv = new BranchGraph(0, 1, survRows, hFlat, idsBuf, null, this)
-  /** The record of every non-trivial level-1 branch built on this workspace. */
-  private[mce] val branch = BranchResult.Branch(null, null, null, null)
+  private[mce] lazy val survRows = new Array[Long](rowWords.toInt)
+
+  /** The branch graph of every non-trivial level-1 branch built here. */
+  private[mce] val graph = new BranchGraph(0, 1, hFlat, hFlat, idsBuf, null, this)
+  /** The record of every non-trivial level-1 branch built here. */
+  private[mce] val branch = BranchResult.Branch(graph, null, null, null)
   private[mce] val anchor = new AnchorContext(this)
   /** A level-1 branch's S prefix: {u, v} for an edge, {v} for a vertex. */
   private[mce] val pair = new Array[Int](2)
@@ -129,11 +128,11 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
 
   private[mce] val solver = new Kernels.Solver
 
-  /** Throws unless `nLoc` vertices (with pair ranks if `withRanks`) fit. */
-  private[mce] def fit(nLoc: Int, withRanks: Boolean): Unit =
-    if (nLoc > maxDegree || (withRanks && !ranks))
+  /** Throws unless a neighborhood of `nLoc` vertices fits. */
+  private[mce] def fit(nLoc: Int): Unit =
+    if (nLoc > maxDegree)
       throw new IllegalArgumentException(
-        s"a neighborhood of degree $nLoc does not fit a workspace sized for degree $maxDegree (ranks: $ranks)")
+        s"a neighborhood of degree $nLoc does not fit a workspace sized for degree $maxDegree")
 
   /** The one builder of level-1 neighborhood adjacency. Marks each
     * `ids(i)`, i < `nLoc`, with local index i in `markLocal`, and sets in
@@ -147,7 +146,7 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
     * [[PairRanks]] are returned. Without `rank` it returns null.
     */
   def neighborhood(ids: Array[Int], nLoc: Int, rowsEnd: Int, words: Int, rank: Array[Int]): PairRanks = {
-    fit(nLoc, rank != null)
+    fit(nLoc)
     val h = hFlat
     java.util.Arrays.fill(h, 0, nLoc * words, 0L)
     stamp += 1
@@ -194,7 +193,7 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
       i += 1
     }
     if (rank == null) return null
-    val base = pairBase
+    val base = pairRanks.base
     var stored = 0
     i = 0
     while (i < nLoc) {
@@ -221,18 +220,18 @@ final class Workspace(private[mce] val forward: ForwardLists, maxDegree: Int, ra
 /** Outcome of building a level-1 branch. `Trivial` carries the clique to
   * emit (or null for a dead branch) without any graph materialization.
   * Either case and its arrays belong to the workspace: a `Branch` is the
-  * workspace's one record (`Workspace.branch`), re-pointed by every level-1
-  * build, and the `Trivial`s are fixed. Both are valid until the next
-  * level-1 build on the same workspace.
+  * workspace's one record (`Workspace.branch`) over its one graph, which
+  * every level-1 build re-points, and the `Trivial`s are fixed. Both are
+  * valid until the next level-1 build on the same workspace.
   */
 sealed trait BranchResult
 object BranchResult {
   final case class Trivial(emit: Array[Int]) extends BranchResult
-  final case class Branch(var bg: BranchGraph, var c: Array[Long], var x: Array[Long], var s: Array[Int])
+  final case class Branch(bg: BranchGraph, var c: Array[Long], var x: Array[Long], var s: Array[Int])
     extends BranchResult {
-    /** Re-points this record at a new branch. */
-    private[mce] def set(bg: BranchGraph, c: Array[Long], x: Array[Long], s: Array[Int]): Branch = {
-      this.bg = bg; this.c = c; this.x = x; this.s = s
+    /** Re-points this record at a new branch of `bg`. */
+    private[mce] def set(c: Array[Long], x: Array[Long], s: Array[Int]): Branch = {
+      this.c = c; this.x = x; this.s = s
       this
     }
   }
@@ -262,22 +261,19 @@ object BranchResult {
   * are reused across anchors, and so do a branch's C, X, S prefix and, in
   * the uncommon case that some candidate pair is already consumed, its
   * surviving rows (`BranchGraph.dropConsumed`). A branch is the workspace's
-  * `Branch` record over one of its two `BranchGraph`s, one over H and one
-  * over the surviving rows, so neither an anchor nor a branch allocates.
-  * Each workspace owns one context (`Workspace.anchor`), which
-  * `Prepared.foreachBranch` re-points at each anchor with [[at]]
-  * (`needRanks` iff d ≥ 2); `new AnchorContext(g, rank, u, needRanks, ws)`
-  * makes another one over the same workspace buffers. Either is valid until
-  * the next level-1 build on its workspace.
+  * `Branch` record over its one `BranchGraph`, whose size, width and
+  * carried ranks [[at]] sets once per anchor (`needRanks` iff d ≥ 2) and
+  * whose rows in force [[branch]] sets, so neither allocates. Each workspace
+  * owns one context (`Workspace.anchor`), re-pointed by
+  * `Prepared.foreachBranch`; `new AnchorContext(g, rank, u, needRanks, ws)`
+  * makes another one over the same workspace. Either is valid until the
+  * next level-1 build on its workspace.
   */
 final class AnchorContext private[mce] (ws: Workspace) {
   private var g: LocalGraph = _
   private var rank: Array[Int] = _
   private var anchor = -1
-  private var size = 0
-  private var width = 1
   private var pairRanks: PairRanks = _
-  private var localRanks: PairRanks = _
 
   def this(g: LocalGraph, rank: Array[Int], u: Int, needRanks: Boolean, ws: Workspace) = {
     this(ws)
@@ -287,19 +283,20 @@ final class AnchorContext private[mce] (ws: Workspace) {
   /** The anchor vertex. */
   def u: Int = anchor
   /** The anchor's degree: the vertices of its neighborhood. */
-  def nLoc: Int = size
+  def nLoc: Int = ws.graph.nLoc
   /** The words of one neighborhood row. */
-  def words: Int = width
+  def words: Int = ws.graph.words
 
   /** Re-points this context at anchor `u` of `g` under the edge ranks `rank`:
     * lays out N(u) in descending rank(u,·) order in `ws.idsBuf` and builds
-    * H and its pair ranks on the workspace.
+    * H and its pair ranks on the workspace, and sets the workspace's graph
+    * to N(u), carrying the ranks iff `needRanks`.
     */
   private[mce] def at(g: LocalGraph, rank: Array[Int], u: Int, needRanks: Boolean): AnchorContext = {
     val nLoc = g.degree(u)
-    ws.fit(nLoc, withRanks = true)
+    ws.fit(nLoc)
     val words = Bits.words(math.max(1, nLoc))
-    this.g = g; this.rank = rank; anchor = u; size = nLoc; width = words
+    this.g = g; this.rank = rank; anchor = u
     // key: ~rank in the high half (descending rank), the neighbor's id in
     // the low half; edge ranks are distinct, so the id only fills the key
     val keys = ws.keyBuf
@@ -314,7 +311,7 @@ final class AnchorContext private[mce] (ws: Workspace) {
     i = 0
     while (i < nLoc) { ids(i) = keys(i).toInt; i += 1 }
     pairRanks = ws.neighborhood(ids, nLoc, nLoc, words, rank)
-    localRanks = if (needRanks) pairRanks else null
+    ws.graph.set(nLoc, words, if (needRanks) pairRanks else null)
     this
   }
 
@@ -326,7 +323,8 @@ final class AnchorContext private[mce] (ws: Workspace) {
   /** Build the branch of edge e = (u, v). */
   def branch(e: Int): BranchResult = {
     val u = anchor
-    val words = width
+    val graph = ws.graph
+    val words = graph.words
     val h = ws.hFlat
     val v = if (g.eu(e) == u) g.ev(e) else g.eu(e)
     val r = rank(e)
@@ -366,8 +364,8 @@ final class AnchorContext private[mce] (ws: Workspace) {
       x(i) = h(rowV + i) & ~(if (i < cWords) c(i) else 0L)
       i += 1
     }
-    val bg = if (BranchGraph.dropConsumed(h, c, pairRanks, r, ws.survRows) eq h) ws.overH else ws.overSurv
-    ws.branch.set(bg.set(size, words, localRanks), c, x, ws.pair)
+    graph.survFlat = BranchGraph.dropConsumed(h, c, pairRanks, r, ws.survRows)
+    ws.branch.set(c, x, ws.pair)
   }
 }
 
@@ -444,8 +442,8 @@ object BranchGraph {
     * degeneracy order (BK_Degen-style split): universe = N(v); candidates =
     * neighbors later in the order, exclusions = earlier. Single adjacency in
     * the workspace's `hFlat`; the branch is the workspace's `Branch` record
-    * over its graph `overH`, and like its C, X and S it is valid until the
-    * next level-1 build. `g` is
+    * over its one graph, and like its C, X and S it is valid until the next
+    * level-1 build. `g` is
     * GR's reduced graph, a 3-core, so `v` is never isolated; `pos` are the
     * degeneracy positions that `ws`'s forward lists follow.
     */
@@ -454,7 +452,7 @@ object BranchGraph {
     val fwd = ws.forward
     val cCount = fwd.off(v + 1) - fwd.off(v)
     if (cCount == 0) return BranchResult.dead // all neighbors earlier
-    ws.fit(nLoc, withRanks = false)
+    ws.fit(nLoc)
     // Layout: candidates (v's forward list), then exclusions, each in
     // ascending id (pivot ties follow it).
     val ids = ws.idsBuf
@@ -464,6 +462,7 @@ object BranchGraph {
     while (p < g.offsets(v + 1)) { if (pos(g.adj(p)) < pos(v)) { ids(nx) = g.adj(p); nx += 1 }; p += 1 }
     val words = Bits.words(nLoc)
     ws.neighborhood(ids, nLoc, cCount, words, null)
+    ws.graph.set(nLoc, words, null)
     val c = ws.cSet(Bits.words(cCount))
     java.util.Arrays.fill(c, 0L)
     var i = 0
@@ -472,6 +471,6 @@ object BranchGraph {
     java.util.Arrays.fill(x, 0L)
     while (i < nLoc) { Bits.set(x, i); i += 1 }
     ws.single(0) = v
-    ws.branch.set(ws.overH.set(nLoc, words, null), c, x, ws.single)
+    ws.branch.set(c, x, ws.single)
   }
 }

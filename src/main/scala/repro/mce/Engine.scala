@@ -1,6 +1,6 @@
 package repro.mce
 
-import repro.graph.{Degeneracy, EdgeOrders, ForwardLists, LocalGraph, TrussOrder}
+import repro.graph.{EdgeOrders, ForwardLists, LocalGraph, TrussOrder}
 
 /** Which ordering drives level-1 edge branching (paper Table VI). */
 sealed trait EdgeOrderKind extends Serializable
@@ -135,9 +135,7 @@ object Engine {
     val direct = new CollectSink
     val gr = GraphReduction.reduce(g, direct)
     val reduced = gr.reduced
-    // GR peels its input; when it removed nothing, that peel is the reduced
-    // graph's, and nothing peels again.
-    val degen = if (gr.removedAny) Degeneracy.compute(reduced) else gr.degeneracy
+    val degen = gr.degeneracy
     val forward = ForwardLists(reduced, degen.pos)
     var edgeRank: Array[Int] = null
     var bound = Int.MaxValue
@@ -204,7 +202,7 @@ object Engine {
     var maxDegree = 0
     var i = 0
     while (i < units.length) { maxDegree = math.max(maxDegree, prep.unitDegree(units(i))); i += 1 }
-    new Workspace(prep.forward, maxDegree, ranks = prep.edgeRank != null)
+    new Workspace(prep.forward, maxDegree)
   }
 
   /** Solve the level-1 `units` of `prep` in order on the calling thread,

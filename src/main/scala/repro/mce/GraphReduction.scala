@@ -22,12 +22,12 @@ object GraphReduction {
     * @param closed     per edge id of `reduced`: whether a removed vertex
     *                   is adjacent to both endpoints, which makes the pair
     *                   non-maximal in the input graph
-    * @param removedAny whether any vertex was removed
-    * @param degeneracy the degeneracy peel of the input graph, which is also
-    *                   `reduced`'s when no vertex was removed
+    * @param degeneracy the degeneracy peel of `reduced`: the input's peel when
+    *                   no vertex was removed, otherwise a peel of the rebuilt
+    *                   graph
     */
   final case class Result(reduced: LocalGraph, oldId: Array[Int], closed: Array[Boolean],
-                          removedAny: Boolean, degeneracy: DegeneracyResult)
+                          degeneracy: DegeneracyResult)
 
   def reduce(g: LocalGraph, sink: CliqueSink): Result = {
     val n = g.n
@@ -74,7 +74,7 @@ object GraphReduction {
       i += 1
     }
     if (removed == 0)
-      return Result(g, Array.range(0, n), closed, removedAny = false, degeneracy)
+      return Result(g, Array.range(0, n), closed, degeneracy)
     val oldId = new Array[Int](n - removed)
     val newId = new Array[Int](n)
     var kept = 0
@@ -98,7 +98,7 @@ object GraphReduction {
       if (a >= 0 && b >= 0) { eu(k) = a; ev(k) = b; closedKept(k) = closed(e); k += 1 }
       e += 1
     }
-    Result(LocalGraph.fromCanonical(oldId.length, eu, ev), oldId, closedKept,
-      removedAny = true, degeneracy)
+    val reduced = LocalGraph.fromCanonical(oldId.length, eu, ev)
+    Result(reduced, oldId, closedKept, Degeneracy.compute(reduced))
   }
 }

@@ -67,13 +67,19 @@ object TestGraphs {
   /** Moon–Moser graph: complete multipartite with `parts` parts of size 3 —
     * has exactly 3^parts maximal cliques.
     */
-  def moonMoser(parts: Int): LocalGraph = {
-    val n = 3 * parts
+  def moonMoser(parts: Int): LocalGraph = completeMultipartite(Seq.fill(parts)(3))
+
+  /** Complete multipartite graph with parts of the given sizes, numbered
+    * part by part: its maximal cliques take one vertex of each part, so
+    * there are Π sizes of them, each of size |sizes|.
+    */
+  def completeMultipartite(sizes: Seq[Int]): LocalGraph = {
+    val part = sizes.zipWithIndex.flatMap { case (size, p) => Seq.fill(size)(p) }
     val edges = for {
-      u <- 0 until n; v <- (u + 1) until n
-      if u / 3 != v / 3
+      u <- part.indices; v <- (u + 1) until part.length
+      if part(u) != part(v)
     } yield (u, v)
-    of(n, edges: _*)
+    of(part.length, edges: _*)
   }
 
   /** Complete graph minus a perfect matching on 2k vertices (a 2-plex with
@@ -117,7 +123,7 @@ object TestGraphs {
 
   /** A workspace for the kernels alone: it builds no neighborhood. */
   def kernelWorkspace(): Workspace =
-    new Workspace(ForwardLists(LocalGraph.empty(1), Array(0)), 0, ranks = false)
+    new Workspace(ForwardLists(LocalGraph.empty(1), Array(0)), 0)
 
   /** All maximal independent sets of the path graph v0-v1-...-v(L-1),
     * by brute force (L ≤ 20).

@@ -112,30 +112,64 @@ class EngineSpec extends SparkSpec {
   test("a replay of every unit's branches through the public layers gives runLocal's statistics") {
     // The benchmark's traced pass replays the engine this way: one workspace
     // for every unit, each non-trivial branch solved from level 2, each
-    // trivial one counted as one call. The second graph has level-1
-    // branches whose C holds a consumed pair.
+    // trivial one counted as one call. It walks an edge level 1 itself, one
+    // public `new AnchorContext` per anchor; the other walk is
+    // `foreachBranch`. The second graph has level-1 branches whose C holds a
+    // consumed pair.
     val graphs = Seq("NA" -> GraphGen.generate(GraphGen.byName("NA")), "G(60, 0.5)" -> GraphGen.randomGnp(60, 0.5, 3))
     val configs = Seq("HBBMC++", "RDegen", "EBBMC", "HBBMC-dgn", "Fac++").map(n => n -> MceConfig.byName(n)) :+
       ("HBBMC d=2" -> MceConfig.hbbmcDepth(2))
     for ((gName, g) <- graphs; (cfgName, cfg) <- configs) {
       val prep = Engine.prepare(g, cfg)
-      val counting = new CountingSink
-      val counters = new Counters
-      val sink = Engine.translatingSink(prep, counting)
-      val ws = Engine.workspace(prep)
-      for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws) { branch =>
-        counters.level1Branches += 1
-        branch match {
-          case BranchResult.Trivial(clique) =>
-            counters.calls += 1
-            if (clique != null) sink.emit(clique, clique.length)
-          case BranchResult.Branch(bg, c, x, s) =>
-            Kernels.solve(bg, c, x, s, 2, cfg.kernelConfig, counters, sink)
-        }
-      }
-      val replay = Engine.emitDirect(prep, CliqueSink.discard).merge(counters.toStats(counting))
       val local = Engine.runLocal(g, cfg, CliqueSink.discard)
-      assert(replay == local, s"$cfgName on $gName: replay $replay, runLocal $local")
+      def replay(walk: (Workspace, BranchResult => Unit) => Unit): MceStats = {
+        val counting = new CountingSink
+        val counters = new Counters
+        val sink = Engine.translatingSink(prep, counting)
+        walk(Engine.workspace(prep), { branch =>
+          counters.level1Branches += 1
+          branch match {
+            case BranchResult.Trivial(clique) =>
+              counters.calls += 1
+              if (clique != null) sink.emit(clique, clique.length)
+            case BranchResult.Branch(bg, c, x, s) =>
+              Kernels.solve(bg, c, x, s, 2, cfg.kernelConfig, counters, sink)
+          }
+        })
+        Engine.emitDirect(prep, CliqueSink.discard).merge(counters.toStats(counting))
+      }
+      val walked = replay((ws, f) => for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws)(f))
+      assert(walked == local, s"$cfgName on $gName: replay $walked, runLocal $local")
+      if (prep.edgeRank != null) {
+        val anchored = replay { (ws, f) =>
+          val r = prep.reduced
+          for (unit <- 0 until prep.units) {
+            val u = prep.anchorVerts(unit)
+            val ctx = new AnchorContext(r, prep.edgeRank, u, cfg.edgeDepth >= 2, ws)
+            val clue = s"$cfgName on $gName, anchor $u"
+            assert(ctx.u == u, clue)
+            assert(ctx.nLoc == prep.unitDegree(unit) && ctx.words == Bits.words(ctx.nLoc), clue)
+            for (k <- prep.anchorOff(unit) until prep.anchorOff(unit + 1)) {
+              val e = prep.anchorEdges(k)
+              val v = if (r.eu(e) == u) r.ev(e) else r.eu(e)
+              assert(ctx.localOf(v) < ctx.nLoc && ws.idsBuf(ctx.localOf(v)) == v, s"$clue, edge $e")
+              f(ctx.branch(e))
+            }
+          }
+        }
+        assert(anchored == local, s"$cfgName on $gName: anchor replay $anchored, runLocal $local")
+      }
+    }
+  }
+
+  test("every named preset gives the closed-form counts of complete multipartite graphs") {
+    // Moon–Moser at k = 8: 3^8 cliques of size 8; parts 1, 2, 3, 4, 3, 2:
+    // 144 cliques of size 6
+    val graphs = Seq("Moon–Moser k = 8" -> (Seq.fill(8)(3), 6561), "parts 1, 2, 3, 4, 3, 2" -> (Seq(1, 2, 3, 4, 3, 2), 144))
+    for ((gName, (sizes, count)) <- graphs; (cfgName, cfg) <- MceConfig.named) {
+      val s = Engine.runLocal(TestGraphs.completeMultipartite(sizes), cfg, CliqueSink.discard)
+      assert((s.cliques, s.sumSize, s.maxSize) == (count.toLong, count.toLong * sizes.length, sizes.length),
+        s"$cfgName on $gName: $s")
     }
   }
 
@@ -228,8 +262,15 @@ class EngineSpec extends SparkSpec {
     val prep = Engine.prepare(twoHubs(5000), MceConfig.hbbmcPP)
     val deg = (0 until prep.units).map(prep.unitDegree).max
     assert(deg == 5001)
+    val hub = (0 until prep.units).find(prep.unitDegree(_) == deg).get
     val bitMatrix = deg.toLong * Bits.words(deg) * 8
-    val bytes = allocatedBy(Engine.workspace(prep))
+    // the rank buffers are made on first use: measure a build of the hub's
+    // anchor too, and the dropped rows, which its one branch does not touch
+    val bytes = allocatedBy {
+      val ws = Engine.workspace(prep)
+      prep.foreachBranch(hub, ws)(_ => ())
+      ws.survRows
+    }
     assert(bytes < 4 * bitMatrix, s"$bytes bytes for a $bitMatrix-byte bit matrix")
   }
 

@@ -1,7 +1,7 @@
 package repro.mce
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{Degeneracy, GraphGen, LocalGraph}
 import scala.util.Random
 
 class GraphReductionSpec extends SparkSpec {
@@ -40,7 +40,7 @@ class GraphReductionSpec extends SparkSpec {
     val (direct, res) = run(g)
     assert(direct.isEmpty)
     assert(res.reduced.n == 6 && res.reduced.m == 15)
-    assert(!res.removedAny)
+    assert(res.reduced.n == g.n)
   }
 
   test("pendant chain into a clique") {
@@ -157,8 +157,21 @@ class GraphReductionSpec extends SparkSpec {
     for (name <- Seq("WE", "DB", "YO")) {
       val g = GraphGen.generate(GraphGen.byName(name))
       val res = run(g)._2
-      assert(res.removedAny, name)
+      assert(res.reduced.n < g.n, name)
       assert(res.oldId.toSeq == threeCore(g), name)
+    }
+  }
+
+  test("GR's degeneracy is the peel of the reduced graph") {
+    // The seed-0 suite graphs that GR reduces, random graphs and one that GR
+    // leaves whole.
+    val graphs = Seq("WE", "DB", "YO").map(name => name -> GraphGen.generate(GraphGen.byName(name))) ++
+      (0 until 20).map(seed => s"seed=$seed" -> randomGraph(seed)) :+ ("K6" -> LocalGraph.complete(6))
+    for ((name, g) <- graphs) {
+      val res = run(g)._2
+      val peel = Degeneracy.compute(res.reduced)
+      assert(res.degeneracy.pos.toSeq == peel.pos.toSeq, name)
+      assert(res.degeneracy.delta == peel.delta, name)
     }
   }
 

@@ -24,7 +24,7 @@ class NeighborhoodSpec extends SparkSpec {
   }
 
   private def workspaceFor(g: LocalGraph, maxDegree: Int): Workspace =
-    new Workspace(ForwardLists(g, Degeneracy.compute(g).pos), maxDegree, ranks = true)
+    new Workspace(ForwardLists(g, Degeneracy.compute(g).pos), maxDegree)
 
   private def workspaceFor(g: LocalGraph): Workspace =
     workspaceFor(g, (0 until g.n).map(g.degree).max)

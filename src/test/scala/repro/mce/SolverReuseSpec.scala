@@ -8,9 +8,8 @@ import scala.util.Random
 /** The kernels reuse one `Solver` per workspace: branches of any widths,
   * early-termination hits and edge steps below level 1 solve on a shared
   * workspace exactly as on a fresh one, and in steady state they allocate
-  * nothing. An anchor's level-1 branches share its branch graphs, every
-  * level-1 branch is the workspace's one record, and after a warm-up the
-  * whole level-1 walk allocates nothing.
+  * nothing. Every level-1 branch is the workspace's one record over its one
+  * graph, and after a warm-up the whole level-1 walk allocates nothing.
   */
 class SolverReuseSpec extends SparkSpec {
   import SolverReuseSpec._
@@ -77,7 +76,7 @@ class SolverReuseSpec extends SparkSpec {
     }
   }
 
-  test("an anchor's branches share two branch graphs: one over H, one over the surviving rows") {
+  test("an anchor's branches all run on the workspace's one graph, over H or over the surviving rows") {
     // a level-1 C rarely holds a consumed pair; in this graph two do (truss order)
     val g = GraphGen.randomGnp(60, 0.5, 3)
     var clean, dropped = 0
@@ -85,21 +84,22 @@ class SolverReuseSpec extends SparkSpec {
       val prep = Engine.prepare(g, cfg)
       val ws = Engine.workspace(prep)
       for (unit <- 0 until prep.units) {
-        val graphs = ArrayBuffer.empty[BranchGraph]
+        val rows = ArrayBuffer.empty[Array[Long]]
         prep.foreachBranch(unit, ws) {
-          case b: BranchResult.Branch => graphs += b.bg
+          case b: BranchResult.Branch =>
+            assert((b.bg eq ws.graph) && (b.bg.fullFlat eq ws.hFlat), s"$cfg anchor $unit")
+            rows += b.bg.survFlat
           case _: BranchResult.Trivial =>
         }
-        val (overH, overSurv) = graphs.partition(bg => bg.survFlat eq bg.fullFlat)
-        assert(overH.forall(_ eq overH.head) && overSurv.forall(_ eq overSurv.head), s"$cfg anchor $unit")
-        assert(overH.forall(_.fullFlat eq ws.hFlat) && overSurv.forall(_.survFlat eq ws.survRows))
+        val (overH, overSurv) = rows.partition(_ eq ws.hFlat)
+        assert(overSurv.forall(_ eq ws.survRows), s"$cfg anchor $unit")
         clean += overH.size; dropped += overSurv.size
       }
     }
     assert(clean > 0 && dropped > 0, s"$clean clean and $dropped dropped branches")
   }
 
-  test("every level-1 branch, edge or vertex, is the workspace's one record over one of its two graphs") {
+  test("every level-1 branch, edge or vertex, is the workspace's one record over its one graph") {
     val g = GraphGen.randomGnp(60, 0.5, 3)
     for (cfg <- Seq(MceConfig.hbbmcPP, MceConfig.hbbmcDepth(2), MceConfig.hbbmcDgn, MceConfig.rDegen)) {
       val prep = Engine.prepare(g, cfg)
@@ -108,9 +108,11 @@ class SolverReuseSpec extends SparkSpec {
       for (unit <- 0 until prep.units) prep.foreachBranch(unit, ws) {
         case b: BranchResult.Branch =>
           branches += 1
-          assert(b eq ws.branch, s"$cfg unit $unit")
-          assert((b.bg eq ws.overH) || ((b.bg eq ws.overSurv) && prep.edgeRank != null), s"$cfg unit $unit")
-          // re-pointed at this unit, with ranks exactly when edges branch below level 1
+          assert((b eq ws.branch) && (b.bg eq ws.graph), s"$cfg unit $unit")
+          // rows in force: H, or an edge branch's rows with its consumed pairs dropped
+          assert((b.bg.survFlat eq ws.hFlat) || (prep.edgeRank != null && (b.bg.survFlat eq ws.survRows)),
+            s"$cfg unit $unit")
+          // set for this unit, with ranks exactly when edges branch below level 1
           assert(b.bg.nLoc == prep.unitDegree(unit) && b.bg.words == Bits.words(b.bg.nLoc), s"$cfg unit $unit")
           assert((b.bg.localRank != null) == (cfg.edgeDepth >= 2), s"$cfg unit $unit")
         case _: BranchResult.Trivial =>
