@@ -38,8 +38,8 @@ object Bits {
   }
 
   // ---- row variants: the second operand lives at `off` inside a flat
-  // row-major matrix (BranchGraph stores adjacency this way so a branch
-  // costs two allocations instead of one per vertex).
+  // row-major matrix (a workspace's neighborhood matrix and a branch's rows
+  // in force are stored this way, one array for all rows).
 
   def setRow(flat: Array[Long], off: Int, i: Int): Unit =
     flat(off + (i >>> 6)) |= (1L << (i & 63))

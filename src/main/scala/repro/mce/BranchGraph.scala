@@ -364,27 +364,27 @@ final class AnchorContext private[mce] (ws: Workspace) {
       x(i) = h(rowV + i) & ~(if (i < cWords) c(i) else 0L)
       i += 1
     }
-    graph.survFlat = BranchGraph.dropConsumed(h, c, pairRanks, r, ws.survRows)
+    graph.survFlat = BranchGraph.dropConsumed(c, pairRanks, r, ws.survRows)
     ws.branch.set(c, x, ws.pair)
   }
 }
 
 object BranchGraph {
 
-  /** The one consumed-pair rule of edge branching (DESIGN.md §4): once the
-    * branch of an edge of rank `r` is taken, no pair ranked at or below `r`
-    * may be used again. Returns `rows` itself when no pair inside `c` that
-    * is adjacent in `rows` has rank ≤ r (`store` is over the full rows, of
-    * which `rows` is a subset); otherwise `out` (at least nLoc × words longs,
-    * not `rows`) with `c`'s rows of `rows` copied in and exactly those pairs
-    * cleared. Other rows of `out` are not written and must not be read. Its
-    * callers are [[AnchorContext.branch]], for a level-1 branch, and every
-    * edge step of `Kernels.edgeRec`, for the step's child.
+  /** The consumed-pair rule of edge branching (DESIGN.md §4) for a level-1
+    * branch: once the branch of an edge of rank `r` is taken, no pair ranked
+    * at or below `r` may be used again. Returns `store.rows` itself when no
+    * pair inside `c` that is adjacent there has rank ≤ r; otherwise `out`
+    * (at least nLoc × words longs, not `store.rows`) with `c`'s rows copied
+    * in and exactly those pairs cleared. Other rows of `out` are not written
+    * and must not be read. Its one caller is [[AnchorContext.branch]]: an
+    * anchor's branches come in edge-id order, not rank order, so their
+    * consumed pairs are read from ranks. `Kernels.edgeRec` applies the same
+    * rule by taking its steps in rank order.
     */
-  def dropConsumed(rows: Array[Long], c: Array[Long], store: PairRanks, r: Int,
-                   out: Array[Long]): Array[Long] = {
+  def dropConsumed(c: Array[Long], store: PairRanks, r: Int, out: Array[Long]): Array[Long] = {
     val words = store.words
-    val full = store.rows
+    val rows = store.rows
     val base = store.base
     val rank = store.rank
     var dropped = rows
@@ -399,15 +399,15 @@ object BranchGraph {
         var k = 0
         while (k <= i) {
           val w = b * words + k
-          var pair = rows(w) & c(k)
+          val rowWord = rows(w)
+          var pair = rowWord & c(k)
           if (k == i) pair &= (1L << b) - 1
           if (pair != 0L) {
-            val fullWord = full(w)
             val wordBase = base(w)
             while (pair != 0L) {
               val a = (k << 6) + java.lang.Long.numberOfTrailingZeros(pair)
               pair &= pair - 1
-              if (rank(wordBase + java.lang.Long.bitCount(fullWord & ((1L << a) - 1))) <= r) {
+              if (rank(wordBase + java.lang.Long.bitCount(rowWord & ((1L << a) - 1))) <= r) {
                 if (dropped eq rows) {
                   copyRows(rows, out, words, c)
                   dropped = out
@@ -425,7 +425,8 @@ object BranchGraph {
     dropped
   }
 
-  private def copyRows(from: Array[Long], to: Array[Long], words: Int, c: Array[Long]): Unit = {
+  /** Copies `c`'s rows of `from` (`words` longs each) into `to`. */
+  private[mce] def copyRows(from: Array[Long], to: Array[Long], words: Int, c: Array[Long]): Unit = {
     var i = 0
     while (i < c.length) {
       var word = c(i)

@@ -20,7 +20,7 @@ package repro.mce
   *
   * Edge-oriented branching below level 1 (`edgeRec`) implements EBBMC's
   * recursive step (Algorithm 3 lines 7–12); it is used for the paper's
-  * Table IV (d ≥ 2) and for pure EBBMC.
+  * Table IV (d ≥ 2) and pure EBBMC, and takes each node's pairs in rank order.
   *
   * Every kernel call opens with the same prologue (`Solver.open`), and early
   * termination (Section IV, `Solver.terminate`) hooks in there: the t-plex
@@ -62,7 +62,6 @@ object Kernels {
     * non-negative ints, so each fills one half of the key.
     */
   private[mce] def pairKey(rank: Int, slot: Int): Long = (rank.toLong << 32) | slot
-  private[mce] def keyRank(key: Long): Int = (key >>> 32).toInt
   /** The pair-list slot of a [[pairKey]]. */
   private[mce] def keyIndex(key: Long): Int = key.toInt
 
@@ -124,7 +123,7 @@ object Kernels {
     * swap it, and each restores the caller's rows when its subtree returns:
     * `scan` swaps in the full rows when no consumed pair lies inside C
     * (`vertexRec` restores), and every edge step of `edgeRec` swaps in its
-    * child's rows with the pairs it consumes dropped.
+    * node's rows with the pairs of the earlier steps cleared.
     */
   private[mce] final class Solver {
     private var cfg: KernelConfig = _
@@ -149,8 +148,8 @@ object Kernels {
       pools(width)
     }
 
-    // `edgeRec`'s pair keys, the pairs they index and each edge step's
-    // dropped rows, per level
+    // `edgeRec`'s pair keys, the pairs they index and its node's rows with
+    // the pairs of its finished steps cleared, per level
     private val keyBufs = new PerLevel
     private val pairBufs = new PerLevel
     private val rowBufs = new PerLevel
@@ -398,11 +397,8 @@ object Kernels {
       } else if (l == 4) {
         pick(st); pick(st + 2); emitFrom(ci + 1); len -= 2
         pick(st + 1); pick(st + 3); emitFrom(ci + 1); len -= 2
-      } else if (l == 5) {
-        var k = 0
-        while (k < 5) { pick(st + k); pick(st + (k + 2) % 5); emitFrom(ci + 1); len -= 2; k += 1 }
       } else {
-        // Algorithm 7, |c| ≥ 6: three cases, each a path restriction.
+        // Algorithm 7, |c| ≥ 5: three cases, each a path restriction.
         // c(0) in: the path c(0)..c(l-2).
         pick(st); pathRec(ci, st, l - 2, 0); len -= 1
         // c(1) in: the path c(1)..c(l-1).
@@ -511,10 +507,11 @@ object Kernels {
     // ----------------------------------------------------- edge recursion
 
     /** EBBMC's recursive step: branch on the usable pairs of C (the bits of
-      * `surv` inside C) in global-ordering order, then on isolated candidates
-      * (Eq. 3). Each edge step runs its child on the rows in force with the
-      * pairs it consumes dropped (Alg. 3's E₊ sets). `level` grows by one per
-      * edge level; once it exceeds `cfg.edgeDepth` the vertex-oriented
+      * `surv` inside C) in rank order, then on isolated candidates (Eq. 3).
+      * A step consumes exactly the earlier steps' pairs (Alg. 3's E₊ sets):
+      * each runs its child on one copy of C's rows in force and then clears
+      * its own pair there, so no rank is read per step. `level` grows by one
+      * per edge level; once it exceeds `cfg.edgeDepth` the vertex-oriented
       * variant takes over.
       */
     private def edgeRec(c: Array[Long], x: Array[Long], level: Int): Unit = {
@@ -561,40 +558,33 @@ object Kernels {
       java.util.Arrays.sort(edges, 0, nKeys)
       val cx = xPool.take()
       Bits.orIntoMixed(cx, x, c)
+      // `cur`: C's rows in force minus the finished steps' pairs, which are
+      // exactly the consumed ones inside C, as the steps run in rank order
       val rows = surv
-      val childRows = rowBufs(level, nLoc * W)
+      val cur = rowBufs(level, nLoc * W)
+      BranchGraph.copyRows(rows, cur, W, c)
       var ei = 0
       while (ei < nKeys) {
-        val re = keyRank(edges(ei))
         val ab = pairs(keyIndex(edges(ei)))
         val a = ab.toInt
         val b = (ab >>> 32).toInt
         val cMark = cPool.top
         val xMark = xPool.top
-        // C' ⊆ C ∩ N_surv(a) ∩ N_surv(b) keeps the vertices whose edges to
-        // both a and b rank after e; X' = (C ∪ X) ∩ N_full(a) ∩ N_full(b)
-        // minus C'.
+        // C' = C ∩ N_cur(a) ∩ N_cur(b), the vertices whose usable pairs with
+        // both a and b rank after (a, b); X' = (C ∪ X) ∩ N_full(a) ∩
+        // N_full(b) minus C'.
         val cNew = cPool.take()
-        Bits.andIntoRow(cNew, c, rows, a * W)
-        Bits.andIntoRow(cNew, cNew, rows, b * W)
-        i = 0
-        while (i < cNew.length) {
-          var word = cNew(i)
-          while (word != 0L) {
-            val w = (i << 6) + java.lang.Long.numberOfTrailingZeros(word)
-            if (ranks(a, w) <= re || ranks(b, w) <= re) cNew(i) &= ~(word & -word)
-            word &= word - 1
-          }
-          i += 1
-        }
+        Bits.andIntoRow(cNew, c, cur, a * W)
+        Bits.andIntoRow(cNew, cNew, cur, b * W)
         val xNew = xPool.take()
         Bits.andIntoRow(xNew, cx, full, a * W)
         Bits.andIntoRow(xNew, xNew, full, b * W)
         Bits.andNotInPlace(xNew, cNew)
         buf(len) = globalIds(a); buf(len + 1) = globalIds(b); len += 2
-        surv = BranchGraph.dropConsumed(rows, cNew, ranks, re, childRows)
+        surv = cur
         dispatch(cNew, xNew, level + 1)
         surv = rows
+        Bits.clear2d(cur, a * W, b); Bits.clear2d(cur, b * W, a)
         len -= 2
         cPool.top = cMark
         xPool.top = xMark

@@ -23,6 +23,12 @@ class AlgorithmEquivalenceSpec extends SparkSpec {
     "Fac++" -> MceConfig.facPP,
     "HBBMC d=2" -> MceConfig.hbbmcDepth(2),
     "HBBMC d=3" -> MceConfig.hbbmcDepth(3),
+    // every kind of child of an edge step at level 2: each vertex variant,
+    // with and without the degree scan
+    "Ref d=2" -> MceConfig.hbbmcDepth(2).copy(inner = Kernels.Ref),
+    "Rcd d=2" -> MceConfig.hbbmcDepth(2).copy(inner = Kernels.Rcd),
+    "Fac d=2" -> MceConfig.hbbmcDepth(2).copy(inner = Kernels.Fac),
+    "HBBMC d=2 noET" -> MceConfig.hbbmcDepth(2).copy(etT = 0),
     "HBBMC t=1" -> MceConfig.hbbmcT(1),
     "HBBMC t=2" -> MceConfig.hbbmcT(2),
     "VBBMC-dgn" -> MceConfig.vbbmcDgn,

@@ -69,7 +69,7 @@ class EdgeBranchingSpec extends SparkSpec {
       cSet.foreach(Bits.set(c, _))
       for (r <- Seq(-1, rng.nextInt(30), rng.nextInt(100), 100)) {
         val rowsBefore = rows.clone()
-        val got = BranchGraph.dropConsumed(rows, c, store(rows, nLoc, words, ranks), r, new Array[Long](nLoc * words))
+        val got = BranchGraph.dropConsumed(c, store(rows, nLoc, words, ranks), r, new Array[Long](nLoc * words))
         assert(rows.sameElements(rowsBefore), "the input rows must not change")
         bruteDrop(rows, nLoc, words, cSet, ranks, r) match {
           case None => assert(got eq rows, s"r=$r: nothing consumed, want the rows themselves")
@@ -94,8 +94,8 @@ class EdgeBranchingSpec extends SparkSpec {
     Seq(0, 65, 66).foreach(Bits.set(c, _))
     val out = new Array[Long](nLoc * words)
     val stored = store(rows, nLoc, words, ranks)
-    assert(BranchGraph.dropConsumed(rows, c, stored, 8, out) eq rows)
-    val got = BranchGraph.dropConsumed(rows, c, stored, 9, out)
+    assert(BranchGraph.dropConsumed(c, stored, 8, out) eq rows)
+    val got = BranchGraph.dropConsumed(c, stored, 9, out)
     assert(got eq out)
     assert(!Bits.getRow(got, 0, 65) && !Bits.getRow(got, 65 * words, 0))
     assert(Bits.isEmpty(got.slice(words, 2 * words)), "rows outside C are not copied")
@@ -105,15 +105,17 @@ class EdgeBranchingSpec extends SparkSpec {
     // a pair-list slot is an array index, so Int.MaxValue bounds it
     val last = Int.MaxValue
     val rank = (1 << 24) + 5
+    // the rank fills the key's high half
+    def rankOf(key: Long): Int = (key >>> 32).toInt
     val key = Kernels.pairKey(rank, last)
-    assert(Kernels.keyRank(key) == rank && Kernels.keyIndex(key) == last)
+    assert(rankOf(key) == rank && Kernels.keyIndex(key) == last)
     val keys = Seq(
       Kernels.pairKey(1 << 23, 0),
       Kernels.pairKey((1 << 23) - 1, last),
       Kernels.pairKey(rank, 1),
       Kernels.pairKey(rank, 2),
       Kernels.pairKey(Int.MaxValue, last))
-    assert(keys.sorted.map(Kernels.keyRank) ==
+    assert(keys.sorted.map(rankOf) ==
       Seq((1 << 23) - 1, 1 << 23, rank, rank, Int.MaxValue))
     assert(keys.sorted.map(Kernels.keyIndex) == Seq(last, 0, 1, 2, last))
   }
@@ -158,10 +160,10 @@ class EdgeBranchingSpec extends SparkSpec {
 
   test("HBBMC++ at edge depths 1, 2 and 3 and EBBMC emit RDegen's cliques on NA, each once") {
     // The rows in force inside C must hold exactly the unconsumed pairs.
-    // Two slips that the small differential graphs miss repeat cliques here:
-    // an edge step at level 2 or deeper that leaves its consumed pairs
-    // usable (d=2 emits 17,836 cliques, not 17,835), and a vertex kernel
-    // that hands a clean child's full rows back to its parent (HBBMC++).
+    // Slips here repeat cliques: an edge step at level 2 or deeper that does
+    // not clear its pair after its child (d=2 emits 45,191 duplicates), and
+    // a vertex kernel that hands a clean child's full rows back to its
+    // parent (HBBMC++), which the small differential graphs miss.
     val g = GraphGen.generate(GraphGen.byName("NA"))
     val (want, _) = Engine.collectLocal(g, MceConfig.rDegen)
     Seq("HBBMC++" -> MceConfig.hbbmcPP, "d=2" -> MceConfig.hbbmcDepth(2),

@@ -163,10 +163,12 @@ class EngineSpec extends SparkSpec {
   }
 
   test("every named preset gives the closed-form counts of complete multipartite graphs") {
-    // Moon–Moser at k = 8: 3^8 cliques of size 8; parts 1, 2, 3, 4, 3, 2:
-    // 144 cliques of size 6
-    val graphs = Seq("Moon–Moser k = 8" -> (Seq.fill(8)(3), 6561), "parts 1, 2, 3, 4, 3, 2" -> (Seq(1, 2, 3, 4, 3, 2), 144))
-    for ((gName, (sizes, count)) <- graphs; (cfgName, cfg) <- MceConfig.named) {
+    // Moon–Moser at k = 8 and 11: 3^k cliques of size k; parts 1, 2, 3, 4,
+    // 3, 2: 144 cliques of size 6
+    val graphs = Seq("Moon–Moser k = 8" -> (Seq.fill(8)(3), 6561), "Moon–Moser k = 11" -> (Seq.fill(11)(3), 177147),
+      "parts 1, 2, 3, 4, 3, 2" -> (Seq(1, 2, 3, 4, 3, 2), 144))
+    val configs = MceConfig.named ++ Seq("d=2" -> MceConfig.hbbmcDepth(2), "d=3" -> MceConfig.hbbmcDepth(3))
+    for ((gName, (sizes, count)) <- graphs; (cfgName, cfg) <- configs) {
       val s = Engine.runLocal(TestGraphs.completeMultipartite(sizes), cfg, CliqueSink.discard)
       assert((s.cliques, s.sumSize, s.maxSize) == (count.toLong, count.toLong * sizes.length, sizes.length),
         s"$cfgName on $gName: $s")
